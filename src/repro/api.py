@@ -407,14 +407,16 @@ def list_workloads() -> Tuple[WorkloadSpec, ...]:
 
 @dataclass
 class PreparedEstimate:
-    """A validated request with its limit state built and warmed.
+    """A validated request with its limit state built and its plans compiled.
 
     Splitting :func:`estimate` into prepare + run is what lets the job
     service serialize the *compile* phase (single-flight through the
     plan cache — N concurrent identical submissions incur exactly one
     cache miss) while the sampling phase runs concurrently.
     ``limit_state`` has been :meth:`~repro.highsigma.limitstate.LimitState.warmup`-ed:
-    its compiled plans exist, its counters are untouched.
+    every plan :meth:`run` fetches exists, and nothing has been
+    evaluated, so its counters and point cache are those of a fresh
+    limit state.
     """
 
     request: EstimateRequest
@@ -501,12 +503,13 @@ class PreparedEstimate:
 
 
 def prepare(request: EstimateRequest) -> PreparedEstimate:
-    """Validate, build and warm a request's limit state.
+    """Validate a request, build its limit state and compile its plans.
 
     Every compile the workload needs happens here (routed through
     :func:`repro.spice.plan.compile_cached`, so repeated shapes hit the
-    plan cache); the returned object's :meth:`~PreparedEstimate.run`
-    only samples.
+    plan cache) and nothing else does: no transient runs, so a cold
+    prepare costs the compile alone.  The returned object's
+    :meth:`~PreparedEstimate.run` only samples.
     """
     workload = request.validate()
     limit_state = workload.factory(request.spec, **dict(request.knobs))

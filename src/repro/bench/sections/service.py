@@ -112,12 +112,12 @@ def service_compile_once(ctx):
     """Concurrent SRAM submissions share one compiled plan.
 
     Four identical array-slice jobs (the heaviest real compile: a 4x16
-    array is ~0.4 s to compile against a ~1.7 s warmup transient) land
-    at once on a fresh plan cache.  The executor's single-flight
-    compile lock must produce exactly one cache miss, every job the
-    same bit-identical estimate, and the cold job's measured
-    prepare phase (``prepare_s``: compile + warmup, lock wait excluded)
-    visibly longer than the warm jobs' (cache hit + warmup).  Monte
+    array slice, a few tenths of a second) land at once on a fresh plan
+    cache.  The executor's single-flight compile lock must produce
+    exactly one cache miss, every job the same bit-identical estimate,
+    and the cold job's measured prepare phase (``prepare_s``: limit-state
+    build + compile, lock wait excluded) visibly longer than the warm
+    jobs' (limit-state build + cache hit).  Monte
     Carlo with a one-batch budget keeps the sampling phase out of the
     measurement — this section gates the compile path, the sampler has
     its own sections.

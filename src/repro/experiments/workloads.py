@@ -236,15 +236,27 @@ def _check_axes_cover_devices(space: VariationSpace, order, what: str) -> None:
 # state travels through the spawn pickle pipe, compiled plans included
 # (``CompiledTransient`` serializes its plan state and re-audits on
 # arrival), so spawn workers deserialize instead of recompiling.
+#
+# Each one's ``prepare()`` builds exactly the compiled plans its
+# ``__call__`` fetches, without running them; ``LimitState.warmup``
+# calls it, which is all ``repro.api.prepare`` needs to compile.
 
 
 class _EngineBatch:
     """u-batch -> engine metric via the cell variation space."""
 
-    def __init__(self, space: VariationSpace, metric_batch, include_beta: bool):
+    def __init__(
+        self, space: VariationSpace, engine: Batched6T, op: str, metric_batch,
+        include_beta: bool,
+    ):
         self.space = space
+        self.engine = engine
+        self.op = op
         self.metric_batch = metric_batch
         self.include_beta = include_beta
+
+    def prepare(self) -> None:
+        self.engine.compiled(self.op)
 
     def __call__(self, u_batch: np.ndarray) -> np.ndarray:
         space = self.space
@@ -266,6 +278,9 @@ class _SenseAmpOffsetBatch:
         self.n_bisect = n_bisect
         self.n_steps = n_steps
         self.kernel = kernel
+
+    def prepare(self) -> None:
+        self.sense.compiled(n_steps=self.n_steps, kernel=self.kernel)
 
     def __call__(self, u_batch: np.ndarray) -> np.ndarray:
         u_batch = np.atleast_2d(u_batch)
@@ -296,6 +311,11 @@ class _SystemReadBatch:
         self.sa_n_bisect = sa_n_bisect
         self.sa_on_unresolvable = sa_on_unresolvable
 
+    def prepare(self) -> None:
+        self.engine.compiled("read")
+        if self.sa_model == "latch":
+            self.sense.compiled(n_steps=self.sa_n_steps, kernel=self.kernel)
+
     def __call__(self, u_batch: np.ndarray) -> np.ndarray:
         u_batch = np.atleast_2d(u_batch)
         u_cell, u_sa = u_batch[:, :6], u_batch[:, 6:]
@@ -324,6 +344,11 @@ class _ColumnReadBatch:
         self.kernel = kernel
         self.assembly = assembly
 
+    def prepare(self) -> None:
+        self.column.compiled(
+            n_steps=self.n_steps, kernel=self.kernel, assembly=self.assembly
+        )
+
     def __call__(self, u_batch: np.ndarray) -> np.ndarray:
         u_batch = np.atleast_2d(u_batch)
         dvth = self.space.vth_matrix(u_batch, self.order)
@@ -345,6 +370,12 @@ class _ArrayReadBatch:
         self.assembly = assembly
         self.solver = solver
 
+    def prepare(self) -> None:
+        self.array.compiled(
+            n_steps=self.n_steps, kernel=self.kernel, assembly=self.assembly,
+            solver=self.solver,
+        )
+
     def __call__(self, u_batch: np.ndarray) -> np.ndarray:
         u_batch = np.atleast_2d(u_batch)
         dvth = self.space.vth_matrix(u_batch, self.order)
@@ -356,6 +387,7 @@ class _ArrayReadBatch:
 
 def _engine_limitstate(
     engine: Batched6T,
+    op: str,
     space: VariationSpace,
     metric_batch: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray],
     spec: float,
@@ -372,7 +404,7 @@ def _engine_limitstate(
     # batched engine as one-row batches.
     return LimitState(
         fn=None,
-        batch_fn=_EngineBatch(space, metric_batch, include_beta),
+        batch_fn=_EngineBatch(space, engine, op, metric_batch, include_beta),
         spec=spec,
         dim=space.dim,
         direction=direction,
@@ -399,7 +431,7 @@ def make_read_limitstate(
     )
     space = cell_variation_space(design, include_beta)
     return _engine_limitstate(
-        engine, space, engine.read_access_times, spec, "upper",
+        engine, "read", space, engine.read_access_times, spec, "upper",
         name=f"sram-read(spec={spec:.3e}s, vdd={vdd:g}V)",
     )
 
@@ -427,7 +459,7 @@ def make_write_limitstate(
     )
     space = cell_variation_space(design, include_beta)
     return _engine_limitstate(
-        engine, space, engine.write_trip_times, spec, "upper",
+        engine, "write", space, engine.write_trip_times, spec, "upper",
         name=f"sram-write(spec={spec:.3e}s, vdd={vdd:g}V)",
     )
 
@@ -451,7 +483,7 @@ def make_disturb_limitstate(
     )
     space = cell_variation_space(design, include_beta)
     return _engine_limitstate(
-        engine, space, engine.read_disturb_peaks, spec, "upper",
+        engine, "read", space, engine.read_disturb_peaks, spec, "upper",
         name=f"sram-disturb(spec={spec:.3f}V, vdd={vdd:g}V)",
     )
 

@@ -253,25 +253,20 @@ class LimitState:
             self._cache.clear()
 
     def warmup(self) -> None:
-        """Force lazy setup (circuit compiles) without billing anything.
+        """Build the compiled plans behind ``batch_fn`` without evaluating.
 
-        Evaluates one origin batch — which makes the compiled engines
-        behind ``batch_fn`` build (or fetch from the plan cache) their
-        transient plans — then restores the evaluation counter and the
-        point cache to their prior snapshots, exactly the way the
-        sharded runner's in-process retry path does.  An estimator run
+        Calls ``batch_fn.prepare()`` when the evaluator has one: the
+        compiled SRAM workloads' evaluators build (or fetch from the plan
+        cache) exactly the transient plans their ``__call__`` uses, and
+        run none of them.  Nothing is evaluated, so the evaluation
+        counter and the point cache are untouched and an estimator run
         after ``warmup()`` is bit-identical to one on a cold limit
-        state: the only residue is pure setup state (memoized compiled
-        plans), never statistics.
+        state.  Limit states with nothing to compile (the analytic ones)
+        warm nothing.
         """
-        n_evals = self.n_evals
-        cache = None if self._cache is None else dict(self._cache)
-        try:
-            self.g_batch(np.zeros((1, self.dim)))
-        finally:
-            self.n_evals = n_evals
-            if self._cache is not None:
-                self._cache = cache
+        prepare = getattr(self._batch_fn, "prepare", None)
+        if prepare is not None:
+            prepare()
 
     def __repr__(self) -> str:
         return (

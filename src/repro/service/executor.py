@@ -13,11 +13,16 @@ shard plan before the executor ever sees it):
   shard plan, not the worker count, is what the estimate depends on.
 
 * **Single-flight compilation.**  :func:`repro.api.prepare` (which
-  warms the limit state through the plan cache) runs under one lock.
-  N concurrent submissions of the same circuit shape therefore incur
-  exactly one plan-cache miss: the first compiles and stores, the rest
-  hit the memory tier.  The sampling phase runs outside the lock, so
-  only the cheap compile step is serialized.
+  compiles the limit state's plans through the plan cache and runs no
+  transient) holds one lock.  N concurrent submissions of the same
+  circuit shape therefore incur exactly one plan-cache miss: the first
+  compiles and stores, the rest hit the memory tier.  The sampling
+  phase runs outside the lock, so only the compile step is serialized.
+
+A job whose prepare or run raises anything — a typed
+:class:`~repro.errors.ReproError` or a stray ``LinAlgError``,
+``MemoryError`` or plain bug — settles ``failed`` with the error's type
+and message, so it never holds a queue slot past its end.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional
 
 from repro import api
-from repro.errors import ReproError, RequestError
+from repro.errors import RequestError
 from repro.service.jobs import Job, JobStore
 
 __all__ = ["JobExecutor", "WorkerBudget"]
@@ -144,7 +149,7 @@ class JobExecutor:
                     prepared = api.prepare(job.request)
                     job.prepare_s = round(time.perf_counter() - t0, 6)
                 result = prepared.run(workers=granted)
-            except ReproError as exc:
+            except Exception as exc:  # any error settles the job, never strands it
                 self.store.mark_failed(job, _error_payload(exc))
                 return
             self.store.mark_done(job, result)
@@ -193,8 +198,9 @@ class JobExecutor:
         self._pool.shutdown(wait=True)
 
 
-def _error_payload(exc: ReproError) -> Dict[str, Any]:
-    """A failed job's structured error record."""
+def _error_payload(exc: Exception) -> Dict[str, Any]:
+    """A failed job's structured error record (``code`` only for the
+    typed errors that carry one)."""
     payload: Dict[str, Any] = {
         "type": type(exc).__name__,
         "message": str(exc),

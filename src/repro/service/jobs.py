@@ -53,9 +53,10 @@ class Job:
     finished_s: Optional[float] = None
     granted_workers: Optional[int] = None
     #: Wall time of the prepare phase (validation + limit-state build +
-    #: warmup through the plan cache), measured inside the executor's
-    #: compile lock but excluding the wait for it — so a warm job shows
-    #: the cache hit, not the queueing behind the cold job's compile.
+    #: plan compiles through the plan cache, no transient), measured
+    #: inside the executor's compile lock but excluding the wait for it —
+    #: so a warm job shows the cache hit, not the queueing behind the
+    #: cold job's compile.
     prepare_s: Optional[float] = None
     result: Optional[EstimateResult] = None
     error: Optional[Dict[str, Any]] = None

@@ -319,7 +319,8 @@ def _audit_schur(ct: CompiledTransient, diags: List[Diagnostic]) -> None:
         return
 
     # No coupling between two distinct interior blocks: rebuild the
-    # compile-time pattern exactly as _build_solver does.
+    # compile-time pattern from the dense matrix, independently of the
+    # stamp list _build_solver derives it from.
     pattern = (ct.cmat != 0.0) | (ct._gmat != 0.0)
     entries = np.unique(np.nonzero(ct._m_mat)[0])
     pattern[entries // nu, entries % nu] = True

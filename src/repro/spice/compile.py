@@ -130,12 +130,21 @@ _EPS_ABS = 5e-3
 SPARSE_ASSEMBLY_THRESHOLD = 8
 
 #: Active-sample count below which the sparse pass delegates the
-#: Jacobian to the dense matmul.  BLAS switches to gemv-style kernels on
-#: very skinny right-hand sides and those reduce the inner dimension in
-#: a different order, so the scatter rounds would no longer be
-#: bit-equal; at these sizes the matmul costs next to nothing, so
-#: delegating keeps the bit-equality guarantee without giving up any of
-#: the bulk speedup.
+#: Jacobian to the dense matmul, so a skinny batch assembles exactly as
+#: a dense plan would.  The premise was that BLAS reduces only skinny
+#: right-hand sides in another order.  Measured with OpenBLAS 0.3.31 on
+#: random conductance stacks, it holds only in part:
+#:
+#: * 2x8 array slice (K = 4·n_dev = 400): the matmul equals the scatter
+#:   rounds at every width from 2 to 20;
+#: * 4x16 slice (K = 1568): at no width tried (1–20, 48, 64, 200);
+#: * 6T, latch, write and 3-leaker column benches (K <= 96): it differs
+#:   at some widths in 1–4, 9–12 and 17–20, so also above this count.
+#:
+#: The run-level sparse == dense pins hold on their fixed inputs, but
+#: the delegation buys no bit-equality at array scale.  Dropping it (and
+#: ``_m_mat`` with it) is ROADMAP item 2b, which must choose its
+#: contract: scattering at every width fails ``test_bit_equal_on_latch``.
 _SPARSE_MIN_BATCH = 16
 
 #: Serialization format version of the compiled-plan state (see
@@ -149,41 +158,73 @@ _SPARSE_MIN_BATCH = 16
 PLAN_FORMAT_VERSION = 1
 
 
-def _scatter_rounds(mat: np.ndarray):
-    """Decompose an incidence matrix into collision-free scatter rounds.
+#: One stamp list ``(rows, cols, signs)`` of the Jacobian incidence ``M``.
+_Stamps = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    ``mat`` is a stamp matrix with entries in ``{0, +1, -1}`` (the
-    compiler's ``S`` and ``M`` matrices are built that way: each
-    (entry, column) pair is stamped at most once, and a +1/-1 collision
-    cancels to an exact 0 which ``np.nonzero`` drops).  The result is a
-    list of rounds ``(rows_pos, cols_pos, rows_neg, cols_neg)``: round
-    ``r`` holds the ``r``-th nonzero (in ascending column order) of each
-    row, so within a round every target row is unique and a buffered
-    fancy ``out[rows] += src[cols]`` is collision-free.  Applying the
-    rounds in order accumulates each output entry in ascending-column
-    order — the same order the BLAS matmul kernels reduce the inner
-    dimension, which is what makes the sparse pass bit-equal to the
-    dense one (stamp determinism; the ±1 products are exact, so only
-    addition order can differ, and it does not).
+
+def _jacobian_stamps(
+    d_idx: np.ndarray,
+    g_idx: np.ndarray,
+    s_idx: np.ndarray,
+    b_idx: np.ndarray,
+    nu: int,
+) -> _Stamps:
+    """The nonzero stamps of the Jacobian incidence ``M``, in ``np.nonzero`` order.
+
+    Device ``k`` stamps each of its four conductances (``G_stack`` rows
+    ``[gm, gds, gms, gmb]``, column ``kind * n_dev + k``) against the
+    terminal row ``rt`` it differentiates by: ``+1`` into Jacobian entry
+    ``(drain, rt)``, ``-1`` into ``(source, rt)``.  Rail and ground rows
+    (``>= nu``) stamp nothing.  Within one column, two stamps collide
+    only when the drain and the source share a row; their ``+1``/``-1``
+    pair cancels to an exact zero, so both are dropped.  Every remaining
+    ``(row, col)`` pair is unique, and the list is sorted row-major with
+    columns ascending — exactly the entries and the order
+    ``np.nonzero(M)`` would yield, without a scan over the dense
+    ``nu² x 4·n_dev`` matrix.  ``M`` itself, the scatter rounds and the
+    Schur pattern are all derived from this list.
     """
-    rows, cols = np.nonzero(mat)
-    vals = mat[rows, cols]
-    if not np.all(np.abs(vals) == 1.0):
-        raise SimulationError(
-            "scatter assembly requires pure ±1 stamps; got values "
-            f"{sorted(set(vals.tolist()))}"
-        )
+    n_dev = int(d_idx.size)
+    # Row ``kind`` holds the terminal conductance ``kind`` differentiates by.
+    terminal = np.stack([g_idx, d_idx, s_idx, b_idx]).astype(np.intp)
+    drain, source = terminal[1], terminal[2]
+    cols = np.arange(4 * n_dev, dtype=np.intp).reshape(4, n_dev)
+    stamped = (terminal < nu) & (drain != source)
+    parts = []
+    for side, sign in ((drain, 1.0), (source, -1.0)):
+        keep = stamped & (side < nu)
+        rows = (side * nu + terminal)[keep]
+        parts.append((rows, cols[keep], np.full(rows.size, sign)))
+    rows, cols, signs = (np.concatenate(x) for x in zip(*parts))
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], signs[order]
+
+
+def _scatter_rounds(stamps: _Stamps):
+    """Decompose the Jacobian stamp list into collision-free scatter rounds.
+
+    ``stamps`` is :func:`_jacobian_stamps` output: unique ``(row, col)``
+    pairs with ±1 signs, row-major with columns ascending.  The result
+    is a list of rounds ``(rows_pos, cols_pos, rows_neg, cols_neg)``:
+    round ``r`` holds the ``r``-th stamp (in ascending column order) of
+    each row, so within a round every target row is unique and a
+    buffered fancy ``out[rows] += src[cols]`` is collision-free.
+    Applying the rounds in order accumulates each output entry in
+    ascending-column order — the same order the BLAS matmul kernels
+    reduce the inner dimension, which is what makes the sparse pass
+    bit-equal to the dense one (stamp determinism; the ±1 products are
+    exact, so only addition order can differ, and it does not).
+    """
+    rows, cols, signs = stamps
     rounds = []
     if rows.size == 0:
         return rounds
-    # np.nonzero returns row-major order: within each row, columns ascend.
     first = np.r_[0, np.flatnonzero(np.diff(rows)) + 1]
     counts = np.diff(np.r_[first, rows.size])
     rank = np.arange(rows.size) - np.repeat(first, counts)
     for r in range(int(rank.max()) + 1):
         sel = rank == r
-        rr, cc, vv = rows[sel], cols[sel], vals[sel]
-        pos = vv > 0
+        rr, cc, pos = rows[sel], cols[sel], signs[sel] > 0
         rounds.append((rr[pos], cc[pos], rr[~pos], cc[~pos]))
     return rounds
 
@@ -194,38 +235,33 @@ def _incidence_matrices(
     s_idx: np.ndarray,
     b_idx: np.ndarray,
     nu: int,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, _Stamps]:
     """Current/Jacobian incidence matrices from the terminal index maps.
 
     ``S[node, dev]`` stamps device currents into the residual
     (``F += S @ ids``); ``M[nu*row + col, kind*n_dev + dev]`` stamps the
-    four conductances into the flattened Jacobian (``J += M @ G_stack``
-    with ``G_stack`` rows ``[gm, gds, gms, gmb]`` per device).  Both are
-    pure functions of the four terminal-row arrays and the unknown
-    count, which is why compilation and plan restore
-    (:meth:`CompiledTransient.__setstate__`) share this builder: a
-    deserialized plan rebuilds them bit-identically instead of shipping
-    the dense ``nu² x 4·n_dev`` stamp matrix (~235 MB at array-slice
-    scale).  The plan audit's ``P004`` check replays the same stamping
-    loop entry for entry.
+    four conductances into the flattened Jacobian (``J += M @ G_stack``),
+    written from :func:`_jacobian_stamps`, which is returned too.  A
+    device whose drain and source share a row stamps nothing into
+    either.  Both matrices are pure functions of the four terminal-row
+    arrays and the unknown count, which is why compilation and plan
+    restore (:meth:`CompiledTransient.__setstate__`) share this function:
+    a deserialized plan rebuilds them bit-identically instead of
+    shipping the dense ``nu² x 4·n_dev`` stamp matrix (~235 MB at
+    array-slice scale).  The plan audit's ``P004`` check replays the
+    original per-device stamping loop entry for entry.
     """
     n_dev = int(d_idx.size)
+    dev = np.arange(n_dev)
     s_mat = np.zeros((nu, n_dev))
+    for side, sign in ((d_idx, 1.0), (s_idx, -1.0)):
+        keep = (side < nu) & (d_idx != s_idx)
+        s_mat[side[keep], dev[keep]] = sign
+    stamps = _jacobian_stamps(d_idx, g_idx, s_idx, b_idx, nu)
+    rows, cols, signs = stamps
     m_mat = np.zeros((nu * nu, 4 * n_dev))
-    for k in range(n_dev):
-        rd, rg, rs, rb = int(d_idx[k]), int(g_idx[k]), int(s_idx[k]), int(b_idx[k])
-        if rd < nu:
-            s_mat[rd, k] += 1.0
-        if rs < nu:
-            s_mat[rs, k] -= 1.0
-        for g_kind, rt in enumerate((rg, rd, rs, rb)):  # gm, gds, gms, gmb
-            if rt >= nu:
-                continue                # rail/ground: fixed voltage
-            if rd < nu:
-                m_mat[rd * nu + rt, g_kind * n_dev + k] += 1.0
-            if rs < nu:
-                m_mat[rs * nu + rt, g_kind * n_dev + k] -= 1.0
-    return s_mat, m_mat
+    m_mat[rows, cols] = signs
+    return s_mat, m_mat, stamps
 
 
 # ----------------------------------------------------------------------
@@ -824,8 +860,8 @@ class CompiledTransient:
             )
         self.assembly = assembly
         self._build_linear_tables()
-        self._build_device_tables()
-        self._build_solver()
+        jac_rows = self._build_device_tables()
+        self._build_solver(jac_rows)
         self._build_plan()
         if clip is None:
             lo = min(0.0, float(self._rail_vals.min())) - 0.4
@@ -978,8 +1014,12 @@ class CompiledTransient:
             gmat[~np.eye(nu, dtype=bool)] != 0.0
         )
 
-    def _build_device_tables(self) -> None:
-        """Per-device parameter columns and wiring index/incidence maps."""
+    def _build_device_tables(self) -> np.ndarray:
+        """Per-device parameter columns and wiring index/incidence maps.
+
+        Returns the Jacobian stamp rows (see :func:`_jacobian_stamps`)
+        for the solver's sparsity pattern.
+        """
         mosfets = self.circuit.mosfets()
         self.device_names = [m.name for m in mosfets]
         self._device_index = {n: k for k, n in enumerate(self.device_names)}
@@ -1025,7 +1065,7 @@ class CompiledTransient:
         # Current incidence: F_dev = S @ ids, S[node, dev] in {+1, -1, 0};
         # Jacobian stamps through M (see _incidence_matrices — shared
         # with plan restore, which rebuilds both from the index maps).
-        self._s_mat, self._m_mat = _incidence_matrices(
+        self._s_mat, self._m_mat, stamps = _incidence_matrices(
             self._d_idx, self._g_idx, self._s_idx, self._b_idx, nu
         )
         # The sparse pass scatters only the Jacobian: its dense assembly
@@ -1033,20 +1073,22 @@ class CompiledTransient:
         # columns), while the residual matmul is linear (nu rows) — not
         # worth trading the exact-op bit-equality for.
         self._jac_rounds = (
-            _scatter_rounds(self._m_mat) if self.assembly == "sparse" else None
+            _scatter_rounds(stamps) if self.assembly == "sparse" else None
         )
+        return stamps[0]
 
-    def _build_solver(self) -> None:
+    def _build_solver(self, jac_rows: np.ndarray) -> None:
         """Pick the batched solver for the fused path.
 
         At or below 4 unknowns the fully unrolled eliminations are
         unbeatable.  Above, try the Schur decomposition on the Jacobian's
-        compile-time sparsity pattern (linear elements plus device
-        stamps); when the pattern does not decompose, the generic
-        blocked elimination in :func:`solveN` remains the fallback.  The
-        ``solver=`` argument overrides the policy: ``"blocked"`` skips
-        the Schur analysis entirely (the cross-check the smoke benchmark
-        times the structured solve against), ``"schur"`` makes a
+        compile-time sparsity pattern (linear elements plus the flattened
+        Jacobian rows ``jac_rows`` the device stamps hit); when the
+        pattern does not decompose, the generic blocked elimination in
+        :func:`solveN` remains the fallback.  The ``solver=`` argument
+        overrides the policy: ``"blocked"`` skips the Schur analysis
+        entirely (the cross-check the smoke benchmark times the
+        structured solve against), ``"schur"`` makes a
         non-decomposing pattern a compile error instead of a silent
         fallback.  The choice is per-compile and independent of the
         assembly pass, so ``assembly="sparse"`` and ``assembly="dense"``
@@ -1070,7 +1112,7 @@ class CompiledTransient:
                 )
             return
         pattern = (self.cmat != 0.0) | (self._gmat != 0.0)
-        entries = np.unique(np.nonzero(self._m_mat)[0])
+        entries = np.unique(jac_rows)
         pattern[entries // nu, entries % nu] = True
         np.fill_diagonal(pattern, True)
         try:
@@ -1698,7 +1740,7 @@ class CompiledTransient:
                 f"this build's version {PLAN_FORMAT_VERSION}"
             )
         self.__dict__.update(payload["state"])
-        self._s_mat, self._m_mat = _incidence_matrices(
+        self._s_mat, self._m_mat, _ = _incidence_matrices(
             self._d_idx, self._g_idx, self._s_idx, self._b_idx, self.n_unknowns
         )
         self._build_plan_tables()

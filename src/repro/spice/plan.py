@@ -122,8 +122,14 @@ _ELEMENT_FIELDS: List[Tuple[type, Tuple[str, ...]]] = [
 ]
 
 
-def _canon(obj: object) -> object:
-    """Canonical JSON-able form; floats by exact hex, arrays by digest."""
+def _canon(obj: object, memo: Optional[Dict[int, Tuple[object, object]]] = None) -> object:
+    """Canonical JSON-able form; floats by exact hex, arrays by digest.
+
+    ``memo`` maps ``id()`` of dataclass instances already canonicalised
+    in one fingerprint pass to ``(instance, form)`` — every device of a
+    netlist shares a handful of model cards — and holds the instance so
+    its id cannot be reused within the pass.
+    """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
@@ -135,18 +141,23 @@ def _canon(obj: object) -> object:
         digest = hashlib.sha256(arr.tobytes()).hexdigest()
         return ["ndarray", list(arr.shape), str(arr.dtype), digest]
     if is_dataclass(obj) and not isinstance(obj, type):
+        if memo is not None and id(obj) in memo:
+            return memo[id(obj)][1]
         fields = {f.name: getattr(obj, f.name) for f in dataclass_fields(obj)}
-        return [type(obj).__name__, _canon(fields)]
+        form = [type(obj).__name__, _canon(fields, memo)]
+        if memo is not None:
+            memo[id(obj)] = (obj, form)
+        return form
     if isinstance(obj, Mapping):
-        return [[_canon(k), _canon(obj[k])] for k in sorted(obj)]
+        return [[_canon(k, memo), _canon(obj[k], memo)] for k in sorted(obj)]
     if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
+        return [_canon(v, memo) for v in obj]
     raise ConfigError(
         f"plan fingerprint: cannot canonicalise a {type(obj).__name__}"
     )
 
 
-def _describe_element(elem: object) -> object:
+def _describe_element(elem: object, memo: Dict[int, Tuple[object, object]]) -> object:
     if isinstance(elem, Mosfet):
         params: Dict[str, object] = {
             "model": elem.model,
@@ -164,7 +175,7 @@ def _describe_element(elem: object) -> object:
         type(elem).__name__,
         getattr(elem, "name", ""),
         list(getattr(elem, "terminals", ())),
-        _canon(params),
+        _canon(params, memo),
     ]
 
 
@@ -201,11 +212,12 @@ def plan_fingerprint(
     compile option with defaults resolved.  Floats canonicalise by hex
     (bit-exact), arrays by shape/dtype/content digest.
     """
+    memo: Dict[int, Tuple[object, object]] = {}
     doc = {
         "format": PLAN_FORMAT_VERSION,
         "title": getattr(circuit, "title", ""),
         "num_nodes": getattr(circuit, "num_nodes", 0),
-        "elements": [_describe_element(e) for e in circuit.elements],
+        "elements": [_describe_element(e, memo) for e in circuit.elements],
         "grid": _canon(np.asarray(grid, dtype=float)),
         "probes": [_canon(p) for p in probes],
         "options": _canon(_resolved_options(options)),

@@ -42,7 +42,7 @@ Two interchangeable integrator kernels implement the scheme:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +51,9 @@ from repro.spice.mosfet import MosfetModel
 from repro.spice.sources import PulseShape, pulse
 from repro.sram.cell import CELL_DEVICE_ORDER, CellDesign
 from repro.sram.testbench import OperationTiming
+
+if TYPE_CHECKING:  # the compiler loads only when the fast kernel does
+    from repro.spice.compile import CompiledTransient
 
 __all__ = ["Batched6T", "BatchedRunResult"]
 
@@ -489,6 +492,19 @@ class Batched6T:
         return BatchedRunResult(
             metric=metric, event_found=found, aux=aux, converged=raw["converged"]
         )
+
+    def compiled(self, op: str) -> Optional[CompiledTransient]:
+        """The compiled plan operation ``op`` runs on, built on first use.
+
+        ``"read"`` backs :meth:`read` and its access-time and disturb
+        views, ``"write"`` backs :meth:`write`.  ``None`` on the
+        reference kernel, which integrates without a plan.
+        """
+        if op not in ("read", "write"):
+            raise SimulationError(f"op must be 'read' or 'write', got {op!r}")
+        if self._fast_kernel is None:
+            return None
+        return self._fast_kernel.compiled(op)
 
     def read(
         self,

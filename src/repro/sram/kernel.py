@@ -92,7 +92,9 @@ class FusedTransientKernel:
             c.add(Resistor("r_blb_drv", "blb_drv", "blb", eng.rdrv))
         return c
 
-    def _compiled_for(self, mode: str) -> CompiledTransient:
+    def compiled(self, mode: str) -> CompiledTransient:
+        """The ``"read"`` or ``"write"`` circuit compiled (first use) or
+        fetched from this kernel's memo."""
         ct = self._compiled.get(mode)
         if ct is not None:
             return ct
@@ -141,7 +143,7 @@ class FusedTransientKernel:
         """Integrate one chunk; returns the same raw accumulators as the
         reference ``Batched6T._run_chunk``."""
         eng = self.engine
-        ct = self._compiled_for(mode)
+        ct = self.compiled(mode)
         t = eng.timing
         n = dvth.shape[0]
         dv_req_full = np.full(n, eng.dv_spec) if dv_spec is None else dv_spec

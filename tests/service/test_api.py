@@ -176,3 +176,70 @@ class TestEstimate:
         # facade must apply them (the CLI used to hard-code them).
         spec = next(w for w in api.list_workloads() if w.name == "sa-offset")
         assert "mpfp_options" in spec.estimator_options
+
+
+def _case(workload, spec, method="mc", budget=32, compiles=True, **knobs):
+    request = api.EstimateRequest(
+        workload=workload, spec=spec, method=method, seed=3, budget=budget,
+        rel_err=0.3 if method == "gis" else None, knobs=knobs,
+    )
+    label = f"{workload}-{knobs['kernel']}" if "kernel" in knobs else workload
+    return pytest.param(request, compiles, id=label)
+
+
+#: One small request per registered workload, plus the reference-kernel
+#: read.  Compiled circuits run at most 60 steps; the 6T read grid only
+#: converges robustly at 24 or fewer, where the metric is the smooth
+#: shortfall penalty.
+PREPARE_CASES = [
+    _case("read", 2.47e-8, method="gis", budget=300, n_steps=24),
+    _case("read", 2.47e-8, method="gis", budget=300, compiles=False,
+          n_steps=24, kernel="reference"),
+    _case("write", 4.0e-11, n_steps=60),
+    _case("disturb", 0.5, n_steps=24),
+    _case("sa-offset", 0.05, budget=16, n_steps=60, n_bisect=6),
+    _case("system-read", 2.47e-8, budget=16, n_steps=24, sa_model="latch",
+          sa_n_steps=60, sa_n_bisect=6),
+    _case("column-read", 2.4e-8, n_steps=60, n_leakers=3),
+    _case("array-read", 1.64e-8, n_steps=60, n_cols=2, n_leakers=3),
+    _case("analytic-linear", 3.0, method="gis", budget=300, compiles=False),
+    _case("analytic-quadratic", 3.0, method="gis", budget=300, compiles=False),
+]
+
+
+class TestPrepareContract:
+    """``api.prepare`` compiles every plan the run needs and runs none."""
+
+    def test_every_registered_workload_is_covered(self):
+        covered = {case.values[0].workload for case in PREPARE_CASES}
+        assert covered == {w.name for w in api.list_workloads()}
+
+    @pytest.mark.parametrize("req, compiles", PREPARE_CASES)
+    def test_prepare_only_compiles(self, req, compiles, monkeypatch):
+        from repro.spice.compile import CompiledTransient
+        from repro.spice.plan import default_plan_cache
+
+        runs = []
+        real_run = CompiledTransient.run
+
+        def counted_run(self, *args, **kwargs):
+            runs.append(self)
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledTransient, "run", counted_run)
+        prepared = api.prepare(req)
+        assert runs == []
+
+        misses = default_plan_cache().stats["misses"]
+        result = prepared.run()
+        assert default_plan_cache().stats["misses"] == misses
+        assert bool(runs) == compiles  # the counter sees the run's transients
+
+        workload = prepared.workload
+        cold = api.PreparedEstimate(
+            request=req,
+            workload=workload,
+            limit_state=workload.factory(req.spec, **dict(req.knobs)),
+            n_shards=prepared.n_shards,
+        )
+        assert result.identical_to(cold.run())

@@ -128,6 +128,29 @@ class TestLifecycle:
         assert final["error"]["type"]
         assert final["error"]["message"]
 
+    def test_untyped_error_fails_the_job_and_frees_its_slot(self, monkeypatch):
+        # Not a ReproError: a stray LinAlgError, MemoryError or plain
+        # bug must settle the job too, or it stays running and holds
+        # the only queue slot forever.
+        def broken_prepare(request):
+            raise ValueError("prepare exploded")
+
+        app = ServiceApp(workers_total=1, queue_limit=1)
+        try:
+            client = ServiceClient(app)
+            monkeypatch.setattr(api, "prepare", broken_prepare)
+            final = client.wait(client.submit(linear())["job_id"], timeout=30.0)
+            assert final["status"] == "failed"
+            assert final["error"] == {"type": "ValueError", "message": "prepare exploded"}
+            assert client.get("/v1/stats")[1]["running"] == 0
+
+            monkeypatch.undo()
+            status, payload = client.post("/v1/jobs", linear(seed=1).to_json())
+            assert status == 202
+            assert client.wait(payload["job_id"])["status"] == "done"
+        finally:
+            app.close(drain=True)
+
     def test_worker_grant_is_capped_not_refused(self, client):
         envelope = client.submit(linear(workers=64, n_shards=4))
         final = client.wait(envelope["job_id"])

@@ -116,7 +116,7 @@ class TestCompilationAnalysis:
         """The compiled 6T capacitance matrix must equal the hand-built
         one in Batched6T — same values from the same model caps."""
         eng = Batched6T(n_steps=120)
-        ct = eng._fast_kernel._compiled_for("read")
+        ct = eng.compiled("read")
         np.testing.assert_array_equal(ct.cmat, eng._cmat)
         # WL coupling column agrees too.
         wl_col = ct.rail_names.index("wl")
@@ -238,7 +238,7 @@ class TestSparseAssembly:
 
     def test_bit_equal_on_6t(self):
         eng = Batched6T(n_steps=140)
-        base = eng._fast_kernel._compiled_for("read")
+        base = eng.compiled("read")
         probes = (CrossProbe("cross", {"blb": 1.0, "bl": -1.0},
                              offset=-eng.dv_spec),
                   PeakProbe("q_peak", "q"))

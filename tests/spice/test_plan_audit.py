@@ -13,7 +13,11 @@ import pytest
 
 from repro.errors import PlanAuditError, SimulationError
 from repro.spice.audit import assert_plan_clean, audit_plan
-from repro.spice.compile import RetirePolicy
+from repro.spice.compile import CompiledTransient, RetirePolicy, transient_grid
+from repro.spice.elements import Capacitor, Mosfet, Resistor, VoltageSource
+from repro.spice.mosfet import nmos_45nm, pmos_45nm
+from repro.spice.netlist import Circuit
+from repro.spice.sources import dc, pulse
 from repro.sram.benches import (
     BENCH_NAMES,
     bench_compiled,
@@ -45,6 +49,28 @@ class TestCleanMatrix:
         ct = bench_compiled(name, assembly=assembly, solver=solver)
         diags = assert_plan_clean(ct)
         assert _errors(diags) == []
+
+    @pytest.mark.parametrize("assembly", ["dense", "sparse"])
+    def test_drain_source_short_audits_clean(self, assembly):
+        """A device whose drain and source share an unknown node: its
+        +1/-1 stamps cancel.  P004 replays the per-device stamping loop
+        and P002 the round order, so a clean audit proves the compiler
+        cancels the pair exactly as that loop accumulates it."""
+        c = Circuit("shorted")
+        c.add(VoltageSource("v_vdd", "vdd", "0", dc(1.0)))
+        c.add(VoltageSource("v_in", "in", "0", pulse(0.0, 1.0, delay=0.1e-9,
+                                                     rise=20e-12, width=1e-9)))
+        c.add(Mosfet("m_pull", "out", "in", "0", "0", nmos_45nm(), w=200e-9, l=50e-9))
+        c.add(Mosfet("m_short", "x", "out", "x", "0", nmos_45nm(), w=200e-9, l=50e-9))
+        c.add(Mosfet("m_moscap", "out", "in", "out", "vdd", pmos_45nm(),
+                     w=200e-9, l=50e-9))
+        c.add(Resistor("r_load", "vdd", "out", 20e3))
+        c.add(Capacitor("c_out", "out", "0", 5e-15))
+        c.add(Capacitor("c_x", "x", "0", 5e-15))
+        ct = CompiledTransient(c, grid=transient_grid(1.5e-9, n_steps=64),
+                               assembly=assembly)
+        assert ct.assembly == assembly
+        assert _errors(audit_plan(ct)) == []
 
     def test_assert_plan_clean_raises_typed(self):
         ct = bench_compiled("column", assembly="sparse")

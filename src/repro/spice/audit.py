@@ -1,28 +1,37 @@
 """Compiled-plan auditor: statically prove a ``CompiledTransient`` well-formed.
 
 :func:`audit_plan` inspects the artifacts a compile produced — gather
-maps, incidence matrices, scatter rounds, the Schur partition, hoisted
-per-step tables, probe tables — and checks every invariant the fused
-integrator relies on, *without running a transient*:
+maps, incidence tables, the compact-row index, scatter rounds, the
+Schur partition, hoisted per-step tables, probe tables — and checks
+every invariant the fused integrator relies on, *without running a
+transient*.  Every stamp check replays the original per-device loop
+from the terminal maps into per-entry stamp lists
+(:func:`_replay_stamps`); no dense ``nu² x 4·n_dev`` reference matrix
+is ever built:
 
-* **P004** — the terminal gather maps and incidence matrices are total
-  and in-range, and the incidence stamps are exactly the ±1 pattern the
-  device wiring implies (recomputed symbolically from the terminal maps,
-  entry for entry).
+* **P004** — the terminal gather maps and the current incidence are
+  total, in range and exactly the ±1 pattern the device wiring implies;
+  the compact-row index covers every stamped entry (and ``C``, ``G``
+  and the diagonal); a dense incidence, where the plan multiplies by
+  one, holds exactly the replayed stamps.
 * **P001/P002** — the sparse assembly's scatter rounds are collision-free
-  (no round targets a Jacobian row twice) and replay the dense matmul's
-  k-ascending per-entry accumulation order exactly: per row, the rounds
-  must apply the same (column, sign) stamps, in ascending column order,
-  as the nonzeros of the incidence matrix.  This is the static proof
-  behind the "sparse is bit-equal to dense" invariant.
+  (no round targets a compact row twice) and, read through the
+  compact-row index, replay the dense matmul's k-ascending per-entry
+  accumulation order exactly: per entry, the rounds must apply the
+  replayed (column, sign) stamps in ascending column order.  This is
+  the static proof behind the "sparse is bit-equal to dense" invariant.
 * **P003** — the Schur decomposition is a genuine bordered-block-diagonal
-  partition of the compile-time Jacobian pattern: border plus interior
-  blocks partition the unknowns exactly, every interior block fits the
-  unrolled-solve width, the border respects the size cap, and no two
-  distinct interior blocks couple except through the border.
-* **P005** — the hoisted per-step tables (``C/h``, base Jacobian,
-  capacitive injection, rail drives, rail waveforms) are shape-consistent
-  with the grid and reproduce a fresh recomputation exactly.
+  partition of the pattern rebuilt from the replay: border plus
+  interior blocks partition the unknowns exactly, every interior block
+  fits the unrolled-solve width, the border respects the size cap, no
+  two distinct interior blocks couple except through the border, each
+  block's border set covers every border node coupled to it, and the
+  solver's compact-row gathers address exactly their entries.
+* **P005** — the hoisted per-step tables (``C/h``, the Jacobian base —
+  dense, or ``C/h + G`` gathered at the compact rows on Schur plans —
+  capacitive injection, rail drives, rail waveforms) are
+  shape-consistent with the grid and reproduce a fresh recomputation
+  exactly.
 * **P006/P007** — probe tables address compiled unknowns and grid steps,
   and a retirement policy can never corrupt a metric probe (no value
   probes, peak windows open before retirement can begin).
@@ -40,7 +49,8 @@ producer.  The engine-side determinism audit lives in
 
 from __future__ import annotations
 
-from typing import List, Optional
+import copy
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,8 +76,47 @@ def _diag(code: str, severity: str, subject: str, message: str) -> Diagnostic:
     return Diagnostic(code, severity, subject, message, DIAGNOSTIC_CODES[code][1])
 
 
-def _audit_index_maps(ct: CompiledTransient, diags: List[Diagnostic]) -> None:
-    """P004: gather maps total and in-range, incidence stamps symbolic."""
+def _replay_stamps(ct: CompiledTransient) -> Dict[int, List[Tuple[int, float]]]:
+    """Per-entry Jacobian stamps, replayed from the terminal maps.
+
+    The original per-device stamping loop, written into per-entry
+    lists instead of a dense ``nu² x 4·n_dev`` matrix: flat entry
+    ``row * nu + col`` maps to its ``(G_stack column, ±1)`` stamps in
+    ascending column order — the k-ascending order the dense matmul
+    reduces in.  A drain == source pair accumulates to an exact zero
+    and is dropped, exactly as the loop's ``+= 1`` / ``-= 1`` cancel.
+    Independent of :func:`repro.spice.compile._jacobian_stamps`.
+    """
+    nu = ct.n_unknowns
+    n_dev = ct.n_devices
+    acc: Dict[int, Dict[int, float]] = {}
+    for k in range(n_dev):
+        rd, rg, rs, rb = (
+            int(ct._d_idx[k]), int(ct._g_idx[k]),
+            int(ct._s_idx[k]), int(ct._b_idx[k]),
+        )
+        for g_kind, rt in enumerate((rg, rd, rs, rb)):
+            if rt >= nu:
+                continue
+            col = g_kind * n_dev + k
+            for side, sign in ((rd, 1.0), (rs, -1.0)):
+                if side < nu:
+                    stamps = acc.setdefault(side * nu + rt, {})
+                    stamps[col] = stamps.get(col, 0.0) + sign
+    replay = {}
+    for entry in sorted(acc):
+        stamps = [(c, v) for c, v in sorted(acc[entry].items()) if v != 0.0]
+        if stamps:
+            replay[entry] = stamps
+    return replay
+
+
+def _audit_index_maps(ct: CompiledTransient, replay, diags: List[Diagnostic]) -> bool:
+    """P004: gather maps total and in-range, incidence stamps symbolic.
+
+    Returns whether the compact-row index is well-formed (the later
+    checks read the Jacobian through it).
+    """
     nu = ct.n_unknowns
     n_dev = ct.n_devices
     n_ext = ct._n_ext
@@ -105,8 +154,17 @@ def _audit_index_maps(ct: CompiledTransient, diags: List[Diagnostic]) -> None:
             )
         )
 
+    # Recompute the current incidence from the terminal maps — the
+    # symbolic cross-check: a plan whose stamps disagree with its own
+    # wiring assembles a wrong system no matter how it is applied.
     s_mat = ct._s_mat
-    m_mat = ct._m_mat
+    s_ref = np.zeros((nu, n_dev))
+    for k in range(n_dev):
+        rd, rs = int(ct._d_idx[k]), int(ct._s_idx[k])
+        if rd < nu:
+            s_ref[rd, k] += 1.0
+        if rs < nu:
+            s_ref[rs, k] -= 1.0
     if s_mat.shape != (nu, n_dev):
         diags.append(
             _diag(
@@ -114,7 +172,49 @@ def _audit_index_maps(ct: CompiledTransient, diags: List[Diagnostic]) -> None:
                 f"shape {s_mat.shape} != ({nu}, {n_dev})",
             )
         )
-        return
+    elif not np.array_equal(s_mat, s_ref):
+        diags.append(
+            _diag(
+                "P004", "error", "s_mat",
+                "current-incidence stamps disagree with the terminal maps",
+            )
+        )
+
+    # The compact-row index: sorted unique flat entries covering every
+    # stamped entry, the C/G nonzeros and the diagonal.
+    index = np.asarray(ct._jac_index)
+    linear = (ct.cmat != 0.0) | (ct._gmat != 0.0)
+    np.fill_diagonal(linear, True)
+    stamped = np.fromiter(replay, dtype=np.intp, count=len(replay))
+    missing = np.setdiff1d(np.union1d(stamped, np.flatnonzero(linear)), index)
+    index_ok = bool(
+        index.ndim == 1
+        and np.all(np.diff(index) > 0)
+        and (index.size == 0 or (index[0] >= 0 and index[-1] < nu * nu))
+        and missing.size == 0
+    )
+    if not index_ok:
+        diags.append(
+            _diag(
+                "P004", "error", "jac_index",
+                f"compact-row index is not sorted unique entries of "
+                f"[0, {nu * nu}) or misses {missing.size} of the stamped, "
+                "C/G and diagonal entries",
+            )
+        )
+
+    m_mat = ct._m_mat
+    needs_m = not (ct.assembly == "sparse" and ct.solver == "schur")
+    if m_mat is None:
+        if needs_m:
+            diags.append(
+                _diag(
+                    "P004", "error", "m_mat",
+                    "plan multiplies by the dense Jacobian incidence but "
+                    "carries none",
+                )
+            )
+        return index_ok
     if m_mat.shape != (nu * nu, 4 * n_dev):
         diags.append(
             _diag(
@@ -122,46 +222,29 @@ def _audit_index_maps(ct: CompiledTransient, diags: List[Diagnostic]) -> None:
                 f"shape {m_mat.shape} != ({nu * nu}, {4 * n_dev})",
             )
         )
-        return
-
-    # Recompute both incidence matrices from the terminal maps — the
-    # symbolic cross-check: a plan whose stamps disagree with its own
-    # wiring assembles a wrong Jacobian no matter how it is applied.
-    s_ref = np.zeros((nu, n_dev))
-    m_ref = np.zeros((nu * nu, 4 * n_dev))
-    for k in range(n_dev):
-        rd, rg, rs, rb = (
-            int(ct._d_idx[k]), int(ct._g_idx[k]),
-            int(ct._s_idx[k]), int(ct._b_idx[k]),
-        )
-        if rd < nu:
-            s_ref[rd, k] += 1.0
-        if rs < nu:
-            s_ref[rs, k] -= 1.0
-        for g_kind, rt in enumerate((rg, rd, rs, rb)):
-            if rt >= nu:
-                continue
-            if rd < nu:
-                m_ref[rd * nu + rt, g_kind * n_dev + k] += 1.0
-            if rs < nu:
-                m_ref[rs * nu + rt, g_kind * n_dev + k] -= 1.0
-    if not np.array_equal(s_mat, s_ref):
-        diags.append(
-            _diag(
-                "P004", "error", "s_mat",
-                "current-incidence stamps disagree with the terminal maps",
-            )
-        )
-    if not np.array_equal(m_mat, m_ref):
+        return index_ok
+    # Compare the dense incidence's nonzeros against the replay; no
+    # dense reference matrix is built.
+    rows, cols = np.nonzero(m_mat)
+    want = [(e, c, v) for e, stamps in replay.items() for c, v in stamps]
+    if not (
+        rows.size == len(want)
+        and np.array_equal(rows, [w[0] for w in want])
+        and np.array_equal(cols, [w[1] for w in want])
+        and np.array_equal(m_mat[rows, cols], [w[2] for w in want])
+    ):
         diags.append(
             _diag(
                 "P004", "error", "m_mat",
                 "Jacobian-incidence stamps disagree with the terminal maps",
             )
         )
+    return index_ok
 
 
-def _audit_scatter_rounds(ct: CompiledTransient, diags: List[Diagnostic]) -> None:
+def _audit_scatter_rounds(
+    ct: CompiledTransient, replay, index_ok: bool, diags: List[Diagnostic]
+) -> None:
     """P001/P002: rounds collision-free and replaying the dense order."""
     rounds = ct._jac_rounds
     if ct.assembly != "sparse":
@@ -181,10 +264,12 @@ def _audit_scatter_rounds(ct: CompiledTransient, diags: List[Diagnostic]) -> Non
             )
         )
         return
+    if not index_ok:
+        return  # P004 already reported; rounds cannot be read through it
 
-    m_mat = ct._m_mat
-    # Replay the rounds symbolically: per target row, the (column, sign)
-    # stamps in round order.
+    index = np.asarray(ct._jac_index)
+    # Replay the rounds symbolically through the compact-row index: per
+    # target entry, the (column, sign) stamps in round order.
     replayed: dict = {}
     for r, (rp, cp, rm, cm) in enumerate(rounds):
         targets = np.concatenate([rp, rm])
@@ -196,32 +281,36 @@ def _audit_scatter_rounds(ct: CompiledTransient, diags: List[Diagnostic]) -> Non
                     "(fancy-index accumulation would drop stamps)",
                 )
             )
+        if targets.size and (targets.min() < 0 or targets.max() >= index.size):
+            diags.append(
+                _diag(
+                    "P002", "error", f"round {r}",
+                    f"round targets rows outside the {index.size} compact rows",
+                )
+            )
+            return
         for row, col in zip(rp, cp):
-            replayed.setdefault(int(row), []).append((int(col), 1.0))
+            replayed.setdefault(int(index[row]), []).append((int(col), 1.0))
         for row, col in zip(rm, cm):
-            replayed.setdefault(int(row), []).append((int(col), -1.0))
+            replayed.setdefault(int(index[row]), []).append((int(col), -1.0))
 
-    rows, cols = np.nonzero(m_mat)
-    expected: dict = {}
-    for row, col in zip(rows, cols):
-        # np.nonzero is row-major: per row, columns already ascend — the
-        # k-ascending order the dense matmul reduces in.
-        expected.setdefault(int(row), []).append((int(col), float(m_mat[row, col])))
-    if replayed != expected:
+    if replayed != replay:
         bad = sorted(
-            set(replayed) ^ set(expected)
-            | {r for r in set(replayed) & set(expected) if replayed[r] != expected[r]}
+            set(replayed) ^ set(replay)
+            | {e for e in set(replayed) & set(replay) if replayed[e] != replay[e]}
         )
         diags.append(
             _diag(
-                "P002", "error", f"rows {bad[:8]}",
-                "scatter rounds do not replay the incidence matrix's "
+                "P002", "error", f"entries {bad[:8]}",
+                "scatter rounds do not replay the per-device stamps in "
                 "k-ascending per-entry accumulation order",
             )
         )
 
 
-def _audit_schur(ct: CompiledTransient, diags: List[Diagnostic]) -> None:
+def _audit_schur(
+    ct: CompiledTransient, replay, index_ok: bool, diags: List[Diagnostic]
+) -> None:
     """P003: the partition is genuinely bordered-block-diagonal."""
     schur = ct._schur
     if ct.solver != "schur":
@@ -318,14 +407,13 @@ def _audit_schur(ct: CompiledTransient, diags: List[Diagnostic]) -> None:
         )
         return
 
-    # No coupling between two distinct interior blocks: rebuild the
-    # compile-time pattern from the dense matrix, independently of the
-    # stamp list _build_solver derives it from.
-    pattern = (ct.cmat != 0.0) | (ct._gmat != 0.0)
-    entries = np.unique(np.nonzero(ct._m_mat)[0])
-    pattern[entries // nu, entries % nu] = True
-    np.fill_diagonal(pattern, True)
-    adj = pattern | pattern.T
+    # No coupling between two distinct interior blocks, on the pattern
+    # rebuilt from the stamp replay (independently of the stamp list
+    # the compiler derives it from).
+    adj = (ct.cmat != 0.0) | (ct._gmat != 0.0)
+    stamped = np.fromiter(replay, dtype=np.intp, count=len(replay))
+    adj[stamped // nu, stamped % nu] = True
+    adj |= adj.T
     np.fill_diagonal(adj, False)
     for i, j in zip(*np.nonzero(adj)):
         bi, bj = block_of[i], block_of[j]
@@ -337,11 +425,90 @@ def _audit_schur(ct: CompiledTransient, diags: List[Diagnostic]) -> None:
                     "outside the border",
                 )
             )
-            break
+            return
+    _audit_schur_tables(ct, adj, index_ok, diags)
 
 
-def _audit_plan_tables(ct: CompiledTransient, diags: List[Diagnostic]) -> None:
-    """P005: hoisted per-step tables reproduce a fresh recomputation."""
+def _audit_schur_tables(
+    ct: CompiledTransient, adj: np.ndarray, index_ok: bool, diags: List[Diagnostic]
+) -> None:
+    """P003: block border sets and the solver's compact-row gathers.
+
+    Each block's border set must cover every border node the pattern
+    couples it to (the fold solves only those right-hand sides), and
+    the tables :meth:`_SchurSolver.solve` reads the compact Jacobian
+    through must be the ones its partition binds to.
+    """
+    schur = ct._schur
+    nu = ct.n_unknowns
+    h = np.asarray(schur.h)
+    borders = getattr(schur, "borders", None)
+    if borders is None or len(borders) != len(schur.groups):
+        diags.append(
+            _diag("P003", "error", "borders", "one border set per group required")
+        )
+        return
+    for (s, nodes), bset in zip(schur.groups, borders):
+        nodes, bset = np.asarray(nodes), np.asarray(bset)
+        subject = f"border sets of the size-{s} blocks"
+        if bset.ndim != 2 or bset.shape[0] != nodes.shape[0] or (
+            bset.size and (bset.min() < -1 or bset.max() >= h.size)
+        ):
+            diags.append(
+                _diag(
+                    "P003", "error", subject,
+                    f"shape {bset.shape} or positions outside [-1, {h.size})",
+                )
+            )
+            return
+        have = np.zeros((nodes.shape[0], h.size + 1), dtype=bool)
+        have[np.arange(nodes.shape[0])[:, None], bset] = True   # -1 marks the pad
+        touch = adj[nodes][:, :, h].any(axis=1)
+        if np.any(touch & ~have[:, :-1]):
+            diags.append(
+                _diag(
+                    "P003", "error", subject,
+                    "a block's border set misses border nodes the Jacobian "
+                    "couples it to",
+                )
+            )
+    if not index_ok:
+        return
+
+    # The compact-row gathers and term tables are derived: they must
+    # reproduce a fresh bind of the (just checked) partition and border
+    # sets through the compact-row index.
+    fresh = copy.copy(schur)  # pickling state: drops the bound tables
+    fresh.bind(np.asarray(ct._jac_index), nu)
+    tables = getattr(schur, "_tables", None)
+    same = (
+        tables is not None
+        and len(tables) == len(fresh._tables)
+        and np.array_equal(schur._hh_rows, fresh._hh_rows)
+        and all(
+            vars(got).keys() == vars(want).keys()
+            and all(np.array_equal(getattr(got, k), v) for k, v in vars(want).items())
+            for got, want in zip(tables, fresh._tables)
+        )
+    )
+    if not same:
+        diags.append(
+            _diag(
+                "P003", "error", "schur tables",
+                "the solver's compact-row tables do not reproduce a fresh "
+                "bind of its partition through the compact-row index",
+            )
+        )
+
+
+def _audit_plan_tables(
+    ct: CompiledTransient, index_ok: bool, diags: List[Diagnostic]
+) -> None:
+    """P005: hoisted per-step tables reproduce a fresh recomputation.
+
+    The compact base is checked only through a well-formed compact-row
+    index (a broken one is P004's finding, not a stale table).
+    """
     plan = ct._plan
     grid = ct.grid
     nu = ct.n_unknowns
@@ -397,16 +564,37 @@ def _audit_plan_tables(ct: CompiledTransient, diags: List[Diagnostic]) -> None:
                 )
             )
 
-    checks = (
+    checks = [
         ("cmat_h", plan.cmat_h, ct.cmat[None, :, :] / hs[:, None, None]),
-        ("base_jac", plan.base_jac, ct.cmat[None, :, :] / hs[:, None, None]
-         + ct._gmat[None, :, :]),
         ("cap_inj", plan.cap_inj,
          (np.diff(rails, axis=0) / hs[:, None]) @ ct._cap_rail.T),
         ("g_rhs", plan.g_rhs, rails[1:] @ ct._g_rail.T),
-    )
+    ]
+    # The Jacobian base C/h + G: dense without a Schur partition,
+    # gathered at the compact rows (zero row last) with one.
+    compact = ct._schur is not None
+    base, other = ("base_compact", "base_jac") if compact else ("base_jac", "base_compact")
+    if not compact:
+        checks.append((base, plan.base_jac, ct.cmat[None, :, :] / hs[:, None, None]
+                       + ct._gmat[None, :, :]))
+    elif index_ok:
+        index = np.asarray(ct._jac_index)
+        want = np.zeros((n_steps, index.size + 1))
+        want[:, :-1] = (
+            ct.cmat.ravel()[index][None, :] / hs[:, None] + ct._gmat.ravel()[index]
+        )
+        checks.append((base, plan.base_compact, want))
+    if getattr(plan, other, None) is not None:
+        diags.append(
+            _diag(
+                "P005", "error", other,
+                f"plan carries {other} beside {base}, which its solver reads",
+            )
+        )
     for name, got, want in checks:
-        if got.shape != want.shape or not np.array_equal(got, want):
+        if got is None:
+            diags.append(_diag("P005", "error", name, "hoisted table missing"))
+        elif got.shape != want.shape or not np.array_equal(got, want):
             diags.append(
                 _diag(
                     "P005", "error", name,
@@ -530,10 +718,11 @@ def audit_plan(
     code meanings.
     """
     diags: List[Diagnostic] = []
-    _audit_index_maps(ct, diags)
-    _audit_scatter_rounds(ct, diags)
-    _audit_schur(ct, diags)
-    _audit_plan_tables(ct, diags)
+    replay = _replay_stamps(ct)
+    index_ok = _audit_index_maps(ct, replay, diags)
+    _audit_scatter_rounds(ct, replay, index_ok, diags)
+    _audit_schur(ct, replay, index_ok, diags)
+    _audit_plan_tables(ct, index_ok, diags)
     _audit_probes(ct, retire, diags)
     diags.sort(key=lambda d: (d.code, d.subject))
     return diags

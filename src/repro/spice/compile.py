@@ -36,22 +36,36 @@ step* instead of a per-circuit rewrite:
   addition order matters, and rounds apply stamps in the matmul's
   k-ascending order).  The residual matmul is linear in the node count
   and stays shared by both paths, so the sparse pass is bit-equal to
-  the dense one, which stays selectable as the permanent cross-check.
+  the dense one on the pinned inputs, which stays selectable as the
+  permanent cross-check.
+* **Compact Jacobians.**  A plan whose solver resolves to ``"schur"``
+  stores its Jacobian as *compact rows*: one per structural nonzero of
+  the compile-time pattern (device stamps, ``C``, ``G``, the diagonal;
+  538 of 19 044 entries on the 4x16 array slice) plus a trailing
+  always-zero row.  The rounds scatter into those rows at every batch
+  width, the per-step base ``C/h + G`` is a compact table too, and
+  such a sparse plan builds neither the dense incidence ``M`` nor a
+  dense per-step base.  A dense-assembly Schur plan gathers its matmul
+  result into the same rows, so both assemblies feed the solver
+  identical inputs.  Plans without a Schur partition keep the dense
+  stack (a sparse one expands its compact rounds, and hands batches
+  under :data:`_SPARSE_MIN_BATCH` samples to the matmul).
 * **Structure-exploiting solves.**  Above 4 unknowns the compiler also
   inspects the Jacobian's compile-time sparsity pattern: when it is
   bordered-block-diagonal (a column: leaker pairs touching only the two
   bitlines; a multi-column array slice: per-column cell pairs against a
   border of all bitlines, with the shared mux data lines peeling off as
   their own interior blocks), the fused path solves through a batched
-  Schur complement (:class:`_SchurSolver`) — block solves folded onto
-  the unrolled eliminations, a border system through :func:`solveN`,
-  vectorised back-substitution — instead of the cubic blocked
-  elimination.  ``solver="blocked"`` forces the generic elimination
+  Schur complement (:class:`_SchurSolver`) on the compact rows — block
+  solves folded onto the unrolled eliminations, each block coupled only
+  to the border nodes it touches, a border system through
+  :func:`solveN`, vectorised back-substitution — instead of the cubic
+  blocked elimination.  ``solver="blocked"`` forces the generic elimination
   (the permanent cross-check the benchmarks time the peel against) and
   ``solver="schur"`` makes a non-decomposing pattern a loud compile
   error.  The solver choice is independent of the assembly choice, and
   the reference kernel keeps ``np.linalg.solve`` as the cross-check for
-  both.
+  both (expanding compact rows to a dense stack first).
 * **``solveN``.**  Batched dense solves over ``(nu, nu, n)`` stacks:
   fully unrolled closed-form elimination for ``nu <= 4`` (PR 2's
   ``solve4`` generalised down to 1) and blocked in-place elimination
@@ -129,22 +143,20 @@ _EPS_ABS = 5e-3
 #: the node count for a linear number of stamps).
 SPARSE_ASSEMBLY_THRESHOLD = 8
 
-#: Active-sample count below which the sparse pass delegates the
-#: Jacobian to the dense matmul, so a skinny batch assembles exactly as
-#: a dense plan would.  The premise was that BLAS reduces only skinny
-#: right-hand sides in another order.  Measured with OpenBLAS 0.3.31 on
-#: random conductance stacks, it holds only in part:
-#:
-#: * 2x8 array slice (K = 4·n_dev = 400): the matmul equals the scatter
-#:   rounds at every width from 2 to 20;
-#: * 4x16 slice (K = 1568): at no width tried (1–20, 48, 64, 200);
-#: * 6T, latch, write and 3-leaker column benches (K <= 96): it differs
-#:   at some widths in 1–4, 9–12 and 17–20, so also above this count.
-#:
-#: The run-level sparse == dense pins hold on their fixed inputs, but
-#: the delegation buys no bit-equality at array scale.  Dropping it (and
-#: ``_m_mat`` with it) is ROADMAP item 2b, which must choose its
-#: contract: scattering at every width fails ``test_bit_equal_on_latch``.
+#: Active-sample count below which a sparse plan *without* a Schur
+#: partition delegates the Jacobian to the dense matmul, so a skinny
+#: batch assembles exactly as a dense plan would.  These are the
+#: cross-check configurations (forced ``assembly="sparse"`` on circuits
+#: of 4 unknowns or fewer, ``solver="blocked"``, patterns that refuse the
+#: peel); ``test_bit_equal_on_latch`` fails when they scatter at every
+#: width.  Schur plans scatter into compact rows at every width and hold
+#: no ``_m_mat``.  The delegation buys no universal bit-equality:
+#: measured with OpenBLAS 0.3.31 on random conductance stacks, the
+#: matmul equals the scatter rounds at every width from 2 to 20 on the
+#: 2x8 array slice (K = 4·n_dev = 400), at no width tried on the 4x16
+#: slice (K = 1568), and differs at some widths in 1–4, 9–12 and 17–20
+#: on the 6T, latch, write and 3-leaker column benches (K <= 96); the
+#: run-level sparse == dense pins hold on their fixed inputs.
 _SPARSE_MIN_BATCH = 16
 
 #: Serialization format version of the compiled-plan state (see
@@ -155,7 +167,7 @@ _SPARSE_MIN_BATCH = 16
 #: a payload carrying a stale version is refused with diagnostic
 #: ``P008`` (and treated as a plain cache miss by the plan cache), never
 #: silently reinterpreted.
-PLAN_FORMAT_VERSION = 1
+PLAN_FORMAT_VERSION = 2
 
 
 #: One stamp list ``(rows, cols, signs)`` of the Jacobian incidence ``M``.
@@ -200,20 +212,41 @@ def _jacobian_stamps(
     return rows[order], cols[order], signs[order]
 
 
-def _scatter_rounds(stamps: _Stamps):
+def _jacobian_pattern(
+    stamp_rows: np.ndarray, cmat: np.ndarray, gmat: np.ndarray
+) -> np.ndarray:
+    """Compile-time ``(nu, nu)`` sparsity pattern of the Newton Jacobian.
+
+    The flattened entries the device stamps hit (``stamp_rows``, from
+    :func:`_jacobian_stamps`), the nonzeros of ``C`` and ``G`` (the
+    per-step base ``C/h + G``) and the whole diagonal.  Its row-major
+    nonzeros are the compact-row index: the rows Schur plans store the
+    Jacobian in and the scatter rounds of every sparse plan target.
+    """
+    nu = cmat.shape[0]
+    pattern = (cmat != 0.0) | (gmat != 0.0)
+    entries = np.unique(stamp_rows)
+    pattern[entries // nu, entries % nu] = True
+    np.fill_diagonal(pattern, True)
+    return pattern
+
+
+def _scatter_rounds(stamps: _Stamps, index: np.ndarray):
     """Decompose the Jacobian stamp list into collision-free scatter rounds.
 
     ``stamps`` is :func:`_jacobian_stamps` output: unique ``(row, col)``
-    pairs with ±1 signs, row-major with columns ascending.  The result
-    is a list of rounds ``(rows_pos, cols_pos, rows_neg, cols_neg)``:
-    round ``r`` holds the ``r``-th stamp (in ascending column order) of
-    each row, so within a round every target row is unique and a
-    buffered fancy ``out[rows] += src[cols]`` is collision-free.
-    Applying the rounds in order accumulates each output entry in
-    ascending-column order — the same order the BLAS matmul kernels
-    reduce the inner dimension, which is what makes the sparse pass
-    bit-equal to the dense one (stamp determinism; the ±1 products are
-    exact, so only addition order can differ, and it does not).
+    pairs with ±1 signs, row-major with columns ascending.  ``index`` is
+    the compact-row index (sorted flat entries covering every stamped
+    one); each round targets compact rows, ``np.searchsorted(index,
+    row)``.  The result is a list of rounds ``(rows_pos, cols_pos,
+    rows_neg, cols_neg)``: round ``r`` holds the ``r``-th stamp (in
+    ascending column order) of each entry, so within a round every
+    target row is unique and a buffered fancy ``out[rows] += src[cols]``
+    is collision-free.  Applying the rounds in order accumulates each
+    output entry in ascending-column order — the same order the BLAS
+    matmul kernels reduce the inner dimension, which is what makes the
+    sparse pass bit-equal to the dense one on the pinned inputs (the ±1
+    products are exact, so only addition order can differ).
     """
     rows, cols, signs = stamps
     rounds = []
@@ -222,6 +255,7 @@ def _scatter_rounds(stamps: _Stamps):
     first = np.r_[0, np.flatnonzero(np.diff(rows)) + 1]
     counts = np.diff(np.r_[first, rows.size])
     rank = np.arange(rows.size) - np.repeat(first, counts)
+    rows = np.searchsorted(index, rows)
     for r in range(int(rank.max()) + 1):
         sel = rank == r
         rr, cc, pos = rows[sel], cols[sel], signs[sel] > 0
@@ -235,21 +269,21 @@ def _incidence_matrices(
     s_idx: np.ndarray,
     b_idx: np.ndarray,
     nu: int,
-) -> Tuple[np.ndarray, np.ndarray, _Stamps]:
-    """Current/Jacobian incidence matrices from the terminal index maps.
+) -> Tuple[np.ndarray, _Stamps]:
+    """Current incidence and Jacobian stamp list from the terminal maps.
 
     ``S[node, dev]`` stamps device currents into the residual
-    (``F += S @ ids``); ``M[nu*row + col, kind*n_dev + dev]`` stamps the
-    four conductances into the flattened Jacobian (``J += M @ G_stack``),
-    written from :func:`_jacobian_stamps`, which is returned too.  A
-    device whose drain and source share a row stamps nothing into
-    either.  Both matrices are pure functions of the four terminal-row
-    arrays and the unknown count, which is why compilation and plan
-    restore (:meth:`CompiledTransient.__setstate__`) share this function:
-    a deserialized plan rebuilds them bit-identically instead of
-    shipping the dense ``nu² x 4·n_dev`` stamp matrix (~235 MB at
-    array-slice scale).  The plan audit's ``P004`` check replays the
-    original per-device stamping loop entry for entry.
+    (``F += S @ ids``); the Jacobian incidence is the stamp list of
+    :func:`_jacobian_stamps`, from which the pattern, the compact-row
+    index, the scatter rounds and (on plans that multiply by it) the
+    dense ``M`` all derive; a sparse Schur plan never builds ``M``, which
+    is ``nu² x 4·n_dev`` (~235 MB at array-slice scale).  A device whose
+    drain and source share a row stamps nothing into either.  Both are
+    pure functions of the four terminal-row arrays and the unknown
+    count, which is why compilation and plan restore
+    (:meth:`CompiledTransient.__setstate__`) share this function; the
+    plan audit replays the original per-device stamping loop entry for
+    entry.
     """
     n_dev = int(d_idx.size)
     dev = np.arange(n_dev)
@@ -257,11 +291,55 @@ def _incidence_matrices(
     for side, sign in ((d_idx, 1.0), (s_idx, -1.0)):
         keep = (side < nu) & (d_idx != s_idx)
         s_mat[side[keep], dev[keep]] = sign
-    stamps = _jacobian_stamps(d_idx, g_idx, s_idx, b_idx, nu)
-    rows, cols, signs = stamps
-    m_mat = np.zeros((nu * nu, 4 * n_dev))
-    m_mat[rows, cols] = signs
-    return s_mat, m_mat, stamps
+    return s_mat, _jacobian_stamps(d_idx, g_idx, s_idx, b_idx, nu)
+
+
+def _scatter_compact(rounds, g_stack: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sparse Jacobian assembly: the scatter rounds into ``n_rows`` compact rows."""
+    jac = np.zeros((n_rows, g_stack.shape[1]))
+    for rp, cp, rm, cm in rounds:
+        if rp.size:
+            jac[rp] += g_stack[cp]
+        if rm.size:
+            jac[rm] -= g_stack[cm]
+    return jac
+
+
+def _expand_compact(jac: np.ndarray, index: np.ndarray, nu: int) -> np.ndarray:
+    """Compact Jacobian rows ``(nnz + 1, m)`` as a dense ``(nu, nu, m)`` stack.
+
+    Only the reference kernel and the Schur path's ``LinAlgError``
+    fallback need the dense stack; entries outside ``index`` are zero.
+    """
+    dense = np.zeros((nu * nu, jac.shape[1]))
+    dense[index] = jac[:-1]
+    return dense.reshape(nu, nu, -1)
+
+
+def _ordered_sums(entries: np.ndarray, targets: np.ndarray, n_inner: int, pad: int):
+    """Gather table summing each target's terms in entry order.
+
+    Entry ``entries[e]`` owns the ``n_inner`` consecutive terms
+    ``entries[e] * n_inner + k`` of a flat product array and contributes
+    them to ``targets[e]``.  Returns ``(uniq, table)``: the distinct
+    targets and a ``(K, uniq.size)`` index table whose column ``t``
+    lists target ``t``'s terms in entry-then-``k`` order, padded with
+    ``pad`` (a zero slot).  ``prod[table].sum(axis=0)`` then adds each
+    target's terms in that order (numpy accumulates an outer reduction
+    axis row by row).
+    """
+    order = np.argsort(targets, kind="stable")
+    uniq, first, counts = np.unique(
+        targets[order], return_index=True, return_counts=True
+    )
+    rank = np.arange(order.size) - np.repeat(first, counts)
+    col = np.repeat(np.arange(uniq.size), counts)
+    table = np.full(
+        (int(counts.max(initial=0)) * n_inner, uniq.size), pad, dtype=np.intp
+    )
+    for k in range(n_inner):
+        table[rank * n_inner + k, col] = entries[order] * n_inner + k
+    return uniq, table
 
 
 # ----------------------------------------------------------------------
@@ -507,20 +585,34 @@ class _SchurSolver:
     once at compile time — a greedy peel: while some connected component
     of the non-border graph exceeds :data:`_SCHUR_MAX_BLOCK` nodes, move
     its highest-degree node into the border (deterministic, ties broken
-    by node index) — and then solves every batch through the Schur
-    complement: block solves folded over (block, rhs, sample) onto the
-    unrolled :func:`solveN` kernels, a border system through
-    :func:`solveN` (unrolled to 4 unknowns, blocked elimination above —
-    a multi-column array's border is every bitline, two per column),
-    and a vectorised back-substitution.  Cost is linear in the node
-    count instead of cubic, and every path keeps the pivot guard with
-    the LAPACK rescue.
+    by node index).  Each interior block then records its *border set*
+    (``borders``): the border nodes it couples to, in ascending order,
+    padded with ``-1`` to the widest block of its group — 2 bitlines for
+    a cell pair, every bitline of one polarity for a mux data line.
+
+    :meth:`solve` reads a compact Jacobian — one row per structural
+    nonzero of the pattern plus a trailing always-zero row, the layout
+    Schur plans assemble into — through precomputed compact-row indices
+    (:meth:`bind`).  Per group it folds the block solves over (block,
+    rhs, sample) onto the unrolled :func:`solveN` kernels with ``1 + q``
+    right-hand sides (``q`` the border-set width, not the border size),
+    subtracts each block's ``q x q`` Schur contribution from the border
+    system, solves that through :func:`solveN` (blocked elimination above
+    4 unknowns) and back-substitutes over the border set only.  The
+    Schur update adds every border entry's terms block by block in
+    ascending order — the order a dense ``einsum`` over all blocks and
+    border nodes reduces them at widths above one — so skipping the zero
+    bands left the pinned access times bit-identical.  Every path keeps
+    the pivot guard with the LAPACK rescue.
 
     Construction raises :class:`SimulationError` when the pattern does
     not decompose within the border cap (:func:`_schur_border_cap` —
     relative to the node count, so bigger circuits may peel bigger
     borders while dense patterns still refuse); callers fall back to
-    the generic blocked elimination.
+    the generic blocked elimination.  The partition (``h``, ``groups``,
+    ``borders``) is plan state; the compact-row tables are derived from
+    it and the compact-row index, so pickling drops them and plan
+    restore rebinds.
     """
 
     def __init__(self, pattern: np.ndarray, min_pivot: float):
@@ -555,9 +647,17 @@ class _SchurSolver:
             groups.setdefault(len(comp), []).append(np.sort(comp))
         # Deterministic group order: by block size, blocks by first node.
         self.groups = []
+        self.borders = []
         for s in sorted(groups):
             nodes = np.stack(sorted(groups[s], key=lambda c: int(c[0])))
             self.groups.append((s, nodes))
+            touch = adj[nodes][:, :, self.h].any(axis=1)     # (nc, h)
+            q = int(touch.sum(axis=1).max())
+            first = np.argsort(~touch, axis=1, kind="stable")[:, :q]
+            self.borders.append(
+                np.where(np.take_along_axis(touch, first, axis=1), first, -1)
+            )
+        self.bind(np.flatnonzero(pattern), nu)
 
     @staticmethod
     def _components(adj: np.ndarray, border: List[int]) -> List[np.ndarray]:
@@ -581,50 +681,113 @@ class _SchurSolver:
             comps.append(np.array(sorted(comp), dtype=int))
         return comps
 
+    def bind(self, index: np.ndarray, nu: int) -> None:
+        """Compact-row tables of the partition under the index ``index``.
+
+        ``index`` holds the sorted flat ``(row * nu + col)`` entries of
+        the compact rows; an entry outside it reads the trailing zero
+        row.  Per group the tables are: the block (``d_rows``, repeated
+        once per right-hand side), coupling (``c_rows``) and
+        border-row (``r_rows``) gathers; the Schur-update targets and
+        their ordered term tables (``pairs``/``pair_terms`` over the
+        ``(block, i, j, s)`` products, ``nodes_h``/``node_terms`` over
+        the ``(block, i, s)`` ones); the padded border set with pads
+        clamped to 0 for the back-substitution gather.
+        """
+        nnz = index.size
+        pos = np.full(nu * nu, nnz, dtype=np.intp)
+        pos[index] = np.arange(nnz)
+
+        def rows(i, j):
+            return pos[i * nu + j]
+
+        h = self.h
+        self._hh_rows = rows(h[:, None], h[None, :])
+        self._tables = []
+        for (s, nodes), border in zip(self.groups, self.borders):
+            nc, q = border.shape
+            valid = border >= 0
+            b_node = h[np.maximum(border, 0)]
+            d = rows(nodes[:, :, None], nodes[:, None, :])          # (nc, s, s)
+            c = np.where(valid[:, None, :],
+                         rows(nodes[:, :, None], b_node[:, None, :]), nnz)
+            r = np.where(valid[:, :, None],
+                         rows(b_node[:, :, None], nodes[:, None, :]), nnz)
+            pair_entries = np.flatnonzero(valid[:, :, None] & valid[:, None, :])
+            blk, i, j = np.unravel_index(pair_entries, (nc, q, q))
+            pairs, pair_terms = _ordered_sums(
+                pair_entries, border[blk, i] * h.size + border[blk, j], s,
+                pad=nc * q * q * s,
+            )
+            node_entries = np.flatnonzero(valid)
+            nodes_h, node_terms = _ordered_sums(
+                node_entries, border.ravel()[node_entries], s, pad=nc * q * s
+            )
+            self._tables.append(SimpleNamespace(
+                d_rows=np.repeat(
+                    d.transpose(1, 2, 0)[:, :, :, None], 1 + q, axis=3
+                ).reshape(s, s, nc * (1 + q)),
+                c_rows=c.transpose(1, 0, 2),                        # (s, nc, q)
+                r_rows=r,                                           # (nc, q, s)
+                pairs=pairs,
+                pair_terms=pair_terms,
+                nodes_h=nodes_h,
+                node_terms=node_terms,
+                border_x=np.maximum(border, 0),
+            ))
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {
+            k: v for k, v in self.__dict__.items()
+            if k not in ("_hh_rows", "_tables")
+        }
+
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Solve ``a[:, :, i] @ x[:, i] = b[:, i]`` through the Schur path."""
+        """Solve the compact-row system ``a`` (``(nnz + 1, m)``) for ``b`` (``(nu, m)``)."""
         h_idx = self.h
-        h = h_idx.size
-        m = a.shape[2]
+        m = a.shape[1]
         min_pivot = self.min_pivot
         x = np.empty_like(b)
 
-        b_h = b[h_idx].copy()
-        schur = a[h_idx[:, None], h_idx[None, :]].copy()     # (h, h, m)
+        b_h = b[h_idx]
+        schur = a[self._hh_rows]                              # (h, h, m)
+        schur_flat = schur.reshape(-1, m)
         saved = []
-        for s, nodes in self.groups:
-            nc = nodes.shape[0]
-            d_blk = a[nodes[:, :, None], nodes[:, None, :]]   # (nc, s, s, m)
-            c_blk = a[nodes[:, :, None], h_idx[None, None, :]]  # (nc, s, h, m)
-            r_blk = a[h_idx[None, :, None], nodes[:, None, :]]  # (nc, h, s, m)
-            b_d = b[nodes]                                    # (nc, s, m)
-
+        for (s, nodes), t in zip(self.groups, self._tables):
+            nc, q = t.border_x.shape
+            r = 1 + q
             # Solve D z = [b_D | C] with the rhs axis folded into the
-            # sample axis: (s, s, nc * (1 + h) * m) hits the unrolled
+            # sample axis: (s, s, nc * (1 + q) * m) hits the unrolled
             # closed-form eliminations for s <= 4.
-            r = 1 + h
-            rhs = np.concatenate([b_d[:, :, None, :], c_blk], axis=2)
-            rhs_f = np.ascontiguousarray(
-                rhs.transpose(1, 0, 2, 3)
-            ).reshape(s, nc * r * m)
-            d_f = np.ascontiguousarray(
-                np.broadcast_to(
-                    d_blk.transpose(1, 2, 0, 3)[:, :, :, None, :],
-                    (s, s, nc, r, m),
-                )
-            ).reshape(s, s, nc * r * m)
-            z = solveN(d_f, rhs_f, min_pivot).reshape(s, nc, r, m)
-            z_b = z[:, :, 0, :]                               # (s, nc, m)
-            z_c = z[:, :, 1:, :]                              # (s, nc, h, m)
+            rhs = np.empty((s, nc, r, m))
+            rhs[:, :, 0] = b[nodes.T]
+            rhs[:, :, 1:] = a[t.c_rows]
+            z = solveN(
+                a[t.d_rows].reshape(s, s, nc * r * m),
+                rhs.reshape(s, nc * r * m),
+                min_pivot,
+            ).reshape(s, nc, r, m)
+            z_b = z[:, :, 0]                                  # (s, nc, m)
+            z_c = z[:, :, 1:]                                 # (s, nc, q, m)
 
-            schur -= np.einsum("npsm,snqm->pqm", r_blk, z_c)
-            b_h -= np.einsum("npsm,snm->pm", r_blk, z_b)
-            saved.append((nodes, z_b, z_c))
+            # Per-block products, a zero slot last for padded terms.
+            r_blk = a[t.r_rows]                               # (nc, q, s, m)
+            prod = np.empty((nc * q * q * s + 1, m))
+            prod[-1] = 0.0
+            np.multiply(r_blk[:, :, None], z_c.transpose(1, 2, 0, 3)[:, None],
+                        out=prod[:-1].reshape(nc, q, q, s, m))
+            schur_flat[t.pairs] -= prod[t.pair_terms].sum(axis=0)
+            prod = np.empty((nc * q * s + 1, m))
+            prod[-1] = 0.0
+            np.multiply(r_blk, z_b.transpose(1, 0, 2)[:, None],
+                        out=prod[:-1].reshape(nc, q, s, m))
+            b_h[t.nodes_h] -= prod[t.node_terms].sum(axis=0)
+            saved.append((nodes, t.border_x, z_b, z_c))
 
         x_h = solveN(schur, b_h, min_pivot)
         x[h_idx] = x_h
-        for nodes, z_b, z_c in saved:
-            x_d = z_b - np.einsum("snpm,pm->snm", z_c, x_h)
+        for nodes, border_x, z_b, z_c in saved:
+            x_d = z_b - (z_c * x_h[border_x]).sum(axis=2)
             x[nodes] = x_d.transpose(1, 0, 2)
         return x
 
@@ -860,8 +1023,8 @@ class CompiledTransient:
             )
         self.assembly = assembly
         self._build_linear_tables()
-        jac_rows = self._build_device_tables()
-        self._build_solver(jac_rows)
+        self._build_device_tables()
+        self._build_jacobian_tables(peel=True)
         self._build_plan()
         if clip is None:
             lo = min(0.0, float(self._rail_vals.min())) - 0.4
@@ -1014,12 +1177,8 @@ class CompiledTransient:
             gmat[~np.eye(nu, dtype=bool)] != 0.0
         )
 
-    def _build_device_tables(self) -> np.ndarray:
-        """Per-device parameter columns and wiring index/incidence maps.
-
-        Returns the Jacobian stamp rows (see :func:`_jacobian_stamps`)
-        for the solver's sparsity pattern.
-        """
+    def _build_device_tables(self) -> None:
+        """Per-device parameter columns and terminal index maps."""
         mosfets = self.circuit.mosfets()
         self.device_names = [m.name for m in mosfets]
         self._device_index = {n: k for k, n in enumerate(self.device_names)}
@@ -1062,37 +1221,61 @@ class CompiledTransient:
         self._s_idx = np.asarray(s_idx)
         self._b_idx = np.asarray(b_idx)
 
-        # Current incidence: F_dev = S @ ids, S[node, dev] in {+1, -1, 0};
-        # Jacobian stamps through M (see _incidence_matrices — shared
-        # with plan restore, which rebuilds both from the index maps).
-        self._s_mat, self._m_mat, stamps = _incidence_matrices(
+    def _build_jacobian_tables(self, peel: bool) -> None:
+        """The stamp-derived tables, shared by compile and plan restore.
+
+        One stamp list (:func:`_incidence_matrices`) yields the current
+        incidence ``_s_mat``, the compile-time pattern and its row-major
+        nonzeros ``_jac_index`` (the compact-row index), the scatter
+        rounds of a sparse plan (targeting compact rows) and, on plans
+        that multiply by it, the dense incidence ``_m_mat``.  ``peel``
+        runs the solver analysis (compile); a restore keeps the shipped
+        partition and rebinds it to the index.  Plans with a Schur
+        partition store their Jacobian as compact rows; a sparse one
+        scatters at every width and holds no ``_m_mat``.  Only the
+        residual keeps the dense matmul: it is linear in the node count
+        (nu rows), not worth trading the exact-op bit-equality for.
+        """
+        nu = self.n_unknowns
+        self._s_mat, stamps = _incidence_matrices(
             self._d_idx, self._g_idx, self._s_idx, self._b_idx, nu
         )
-        # The sparse pass scatters only the Jacobian: its dense assembly
-        # is quadratic in the node count (nu² rows against 4·n_dev
-        # columns), while the residual matmul is linear (nu rows) — not
-        # worth trading the exact-op bit-equality for.
+        pattern = _jacobian_pattern(stamps[0], self.cmat, self._gmat)
+        self._jac_index = np.flatnonzero(pattern)
+        if peel:
+            self._build_solver(pattern)
+        elif self._schur is not None:
+            self._schur.bind(self._jac_index, nu)
+        sparse = self.assembly == "sparse"
         self._jac_rounds = (
-            _scatter_rounds(stamps) if self.assembly == "sparse" else None
+            _scatter_rounds(stamps, self._jac_index) if sparse else None
         )
-        return stamps[0]
+        self._m_mat = None
+        if not (sparse and self._schur is not None):
+            # M[nu*row + col, kind*n_dev + dev]: the dense assembly
+            # multiplies by it, and sparse plans without a Schur partition
+            # hand skinny batches to that matmul.
+            rows, cols, signs = stamps
+            self._m_mat = np.zeros((nu * nu, 4 * self.n_devices))
+            self._m_mat[rows, cols] = signs
 
-    def _build_solver(self, jac_rows: np.ndarray) -> None:
+    def _build_solver(self, pattern: np.ndarray) -> None:
         """Pick the batched solver for the fused path.
 
         At or below 4 unknowns the fully unrolled eliminations are
         unbeatable.  Above, try the Schur decomposition on the Jacobian's
-        compile-time sparsity pattern (linear elements plus the flattened
-        Jacobian rows ``jac_rows`` the device stamps hit); when the
-        pattern does not decompose, the generic blocked elimination in
-        :func:`solveN` remains the fallback.  The ``solver=`` argument
+        compile-time sparsity ``pattern`` (:func:`_jacobian_pattern`);
+        when the pattern does not decompose, the generic blocked
+        elimination in :func:`solveN` remains the fallback.  The
+        ``solver=`` argument
         overrides the policy: ``"blocked"`` skips the Schur analysis
         entirely (the cross-check the smoke benchmark times the
         structured solve against), ``"schur"`` makes a
         non-decomposing pattern a compile error instead of a silent
         fallback.  The choice is per-compile and independent of the
         assembly pass, so ``assembly="sparse"`` and ``assembly="dense"``
-        always run the identical solver on identical inputs.  The
+        always run the identical solver on identical inputs (a dense
+        Schur plan gathers its matmul result into compact rows).  The
         reference kernel keeps its row-pivoted ``np.linalg.solve``
         either way — it stays the cross-check for the structured solve
         too.
@@ -1111,10 +1294,6 @@ class CompiledTransient:
                     code="P003",
                 )
             return
-        pattern = (self.cmat != 0.0) | (self._gmat != 0.0)
-        entries = np.unique(jac_rows)
-        pattern[entries // nu, entries % nu] = True
-        np.fill_diagonal(pattern, True)
         try:
             self._schur = _SchurSolver(pattern, self.min_pivot)
         except SimulationError:
@@ -1163,8 +1342,19 @@ class CompiledTransient:
         extrap = np.zeros_like(hs)
         extrap[1:] = hs[1:] / hs[:-1]
 
+        # The per-step Jacobian base C/h + G: dense on plans that
+        # assemble a dense stack, one value per compact row (the zero row
+        # last) on Schur plans.  Either way the same elementwise sums.
         cmat_h = self.cmat[None, :, :] / hs[:, None, None]
-        base_jac = cmat_h + self._gmat[None, :, :]
+        base_jac = base_compact = None
+        if self._schur is None:
+            base_jac = cmat_h + self._gmat[None, :, :]
+        else:
+            index = self._jac_index
+            base_compact = np.zeros((n_steps, index.size + 1))
+            base_compact[:, :-1] = (
+                cmat_h.reshape(n_steps, -1)[:, index] + self._gmat.ravel()[index]
+            )
 
         # Capacitive rail coupling: inject C * dV_rail/dt per step.
         drail_dt = np.diff(rail_vals, axis=0) / hs[:, None]       # (n_steps, nr)
@@ -1187,6 +1377,7 @@ class CompiledTransient:
             extrap=extrap,
             cmat_h=cmat_h,
             base_jac=base_jac,
+            base_compact=base_compact,
             cap_inj=cap_inj,
             g_diag=g_diag,
             v_eff=v_eff,
@@ -1534,6 +1725,8 @@ class CompiledTransient:
         s_mat = self._s_mat
         m_mat = self._m_mat
         jac_rounds = self._jac_rounds
+        jac_index = self._jac_index
+        n_rows = jac_index.size + 1
         schur = self._schur
         n_sample_steps = 0
 
@@ -1542,7 +1735,10 @@ class CompiledTransient:
             n_sample_steps += m
             h = plan.hs[step]
             cmat_h = plan.cmat_h[step]
-            base_jac = plan.base_jac[step][:, :, None]
+            if schur is not None:
+                base_col = plan.base_compact[step][:, None]
+            else:
+                base_jac = plan.base_jac[step][:, :, None]
             inj_col = plan.cap_inj[step][:, None]
             if has_g:
                 if g_is_diag:
@@ -1585,30 +1781,39 @@ class CompiledTransient:
                     else:
                         f += gmat @ y_sub
                         f -= g_rhs_col
-                if sparse and ids.shape[1] >= _SPARSE_MIN_BATCH:
-                    jac = np.zeros((nu * nu, ids.shape[1]))
-                    for rp, cp, rm, cm in jac_rounds:
-                        if rp.size:
-                            jac[rp] += g_stack[cp]
-                        if rm.size:
-                            jac[rm] -= g_stack[cm]
-                    jac = jac.reshape(nu, nu, -1)
-                else:
-                    jac = (m_mat @ g_stack).reshape(nu, nu, -1)
-                jac += base_jac
-                if fused:
-                    if schur is not None:
-                        try:
-                            delta = schur.solve(jac, -f)
-                        except np.linalg.LinAlgError:
-                            # An exactly singular interior block defeats
-                            # the block elimination even when the full
-                            # matrix is solvable; the generic path
-                            # recovers those pathological samples.
-                            delta = solveN(jac, -f, min_pivot)
+                if schur is not None:
+                    # Compact rows, the always-zero row last.
+                    if sparse:
+                        jac = _scatter_compact(jac_rounds, g_stack, n_rows)
                     else:
-                        delta = solveN(jac, -f, min_pivot)
+                        jac = np.zeros((n_rows, g_stack.shape[1]))
+                        jac[:-1] = (m_mat @ g_stack)[jac_index]
+                    jac += base_col
                 else:
+                    if sparse and g_stack.shape[1] >= _SPARSE_MIN_BATCH:
+                        jac = _expand_compact(
+                            _scatter_compact(jac_rounds, g_stack, n_rows),
+                            jac_index, nu,
+                        )
+                    else:
+                        jac = (m_mat @ g_stack).reshape(nu, nu, -1)
+                    jac += base_jac
+                if fused and schur is not None:
+                    try:
+                        delta = schur.solve(jac, -f)
+                    except np.linalg.LinAlgError:
+                        # An exactly singular interior block defeats
+                        # the block elimination even when the full
+                        # matrix is solvable; the generic path
+                        # recovers those pathological samples.
+                        delta = solveN(
+                            _expand_compact(jac, jac_index, nu), -f, min_pivot
+                        )
+                elif fused:
+                    delta = solveN(jac, -f, min_pivot)
+                else:
+                    if schur is not None:
+                        jac = _expand_compact(jac, jac_index, nu)
                     delta = np.linalg.solve(
                         np.ascontiguousarray(jac.transpose(2, 0, 1)),
                         np.ascontiguousarray((-f).T)[..., None],
@@ -1700,12 +1905,18 @@ class CompiledTransient:
     # ------------------------------------------------------------------
 
     #: Attributes dropped from the pickled state: pure functions of the
-    #: serialized attributes, and the only quadratically-sized tables
-    #: (at array-slice scale ``_m_mat`` is ~235 MB and the per-step
-    #: ``_plan`` stacks ~120 MB, against a few MB for everything else).
-    #: :meth:`__setstate__` rebuilds them bit-identically; the plan
-    #: audit's P004/P005 recomputation checks are exactly that proof.
-    _DERIVED_STATE = ("_plan", "_s_mat", "_m_mat")
+    #: serialized attributes, rebuilt on restore by the compiler's own
+    #: code (:meth:`_build_jacobian_tables`, :meth:`_build_plan_tables`).
+    #: They hold the quadratically-sized tables: the per-step ``_plan``
+    #: stacks (``C/h``, plus the dense base ``C/h + G`` on plans without
+    #: a Schur partition) and the dense incidence ``_m_mat`` of plans that
+    #: multiply by it (~235 MB at array-slice scale; a sparse Schur plan
+    #: has none).  Format 2 adds the compact-row index ``_jac_index`` and
+    #: the scatter rounds ``_jac_rounds`` that target it; the Schur
+    #: solver ships its partition and border sets and rebinds its
+    #: compact-row tables to the rebuilt index.  The plan audit's
+    #: P002-P005 replays are the proof the rebuild equals the original.
+    _DERIVED_STATE = ("_plan", "_s_mat", "_m_mat", "_jac_index", "_jac_rounds")
 
     def __getstate__(self) -> Dict[str, object]:
         state = {
@@ -1740,9 +1951,7 @@ class CompiledTransient:
                 f"this build's version {PLAN_FORMAT_VERSION}"
             )
         self.__dict__.update(payload["state"])
-        self._s_mat, self._m_mat, _ = _incidence_matrices(
-            self._d_idx, self._g_idx, self._s_idx, self._b_idx, self.n_unknowns
-        )
+        self._build_jacobian_tables(peel=False)
         self._build_plan_tables()
         assert_plan_clean(self)
 

@@ -12,10 +12,12 @@ module makes that setup a build artifact:
   :meth:`CompiledPlan.from_bytes`), and :meth:`CompiledPlan.restore`
   rebuilds a working ``CompiledTransient`` that is *bit-identical* to
   the fresh compile: the only state not shipped verbatim are the
-  derived tables (``_plan``, ``_s_mat``, ``_m_mat``) that are pure
-  numpy functions of the shipped state — the plan audit's P004/P005
-  recomputation checks are exactly the proof that the rebuild equals
-  the original.
+  derived tables (``CompiledTransient._DERIVED_STATE``: the per-step
+  ``_plan``, the incidence tables, the compact-row index and the
+  scatter rounds, plus the Schur solver's compact-row gathers) that
+  are pure numpy functions of the shipped state — the plan audit's
+  P002-P005 replays are exactly the proof that the rebuild equals the
+  original.
 * :func:`plan_fingerprint` — a structural content address over
   ``(netlist structure, grid, probes, compile options, plan-format
   version)``, the compile-side analogue of the run journal's shard-plan
@@ -257,12 +259,13 @@ def _fresh_containers(state: Mapping[str, object]) -> Dict[str, object]:
     """Copy every mutable container of a plan state, sharing the arrays.
 
     Restored plans must be mutation-isolated from the cache (and from
-    each other): the audit test-suite edits ``_plan`` attributes,
-    ``_SchurSolver.groups`` and probe lists in place to prove detection,
-    and a cache that handed out shared containers would let one
-    instance's surgery corrupt every later restore.  ndarrays are shared
-    deliberately — they are treated as immutable plan constants, and
-    sharing them is what makes an in-process cache hit nearly free.
+    each other): the audit test-suite edits ``_plan`` attributes, the
+    ``_SchurSolver`` group and border-set lists and probe lists in place
+    to prove detection, and a cache that handed out shared containers
+    would let one instance's surgery corrupt every later restore.
+    ndarrays are shared deliberately — they are treated as immutable plan
+    constants, and sharing them is what makes an in-process cache hit
+    nearly free.
     """
     out: Dict[str, object] = {}
     for key, value in state.items():
@@ -272,6 +275,9 @@ def _fresh_containers(state: Mapping[str, object]) -> Dict[str, object]:
             clone = object.__new__(_SchurSolver)
             clone.__dict__.update(value.__dict__)
             clone.groups = [(s, nodes) for s, nodes in value.groups]
+            clone.borders = list(value.borders)
+            if hasattr(value, "_tables"):
+                clone._tables = list(value._tables)
             out[key] = clone
         elif isinstance(value, list):
             out[key] = list(value)

@@ -141,6 +141,9 @@ class ArraySlice:
         self.sense = SenseAmp(sa_design, vdd=config.vdd)
         self.circuit = self._build()
         self.n_simulations = 0
+        # Compiled-batch samples with at least one non-converged Newton
+        # step (``res.converged``); counted, not acted on.
+        self.n_nonconverged = 0
         self._compiled: Dict[tuple, CompiledTransient] = {}
 
     # ------------------------------------------------------------------
@@ -363,6 +366,7 @@ class ArraySlice:
             delta_vth=self._vth_dict(delta_vth, n),
         )
         self.n_simulations += n
+        self.n_nonconverged += int(np.count_nonzero(~res.converged))
         return _access_metric(res, "dlb", "dl", self.timing, self.dv_spec,
                               penalty_per_volt)
 
@@ -388,6 +392,7 @@ class ArraySlice:
             delta_vth=self._vth_dict(delta_vth, n),
         )
         self.n_simulations += n
+        self.n_nonconverged += int(np.count_nonzero(~res.converged))
         return res.value["diff_at_wl_fall"]
 
     def differential_at_wl_fall(self, delta_vth=None) -> float:

@@ -149,6 +149,9 @@ class ReadColumn:
         self.tran_options = tran_options or TransientOptions()
         self.circuit = self._build()
         self.n_simulations = 0
+        # Compiled-batch samples with at least one non-converged Newton
+        # step (``res.converged``); counted, not acted on.
+        self.n_nonconverged = 0
         self._compiled: Dict[tuple, CompiledTransient] = {}
 
     # ------------------------------------------------------------------
@@ -317,6 +320,7 @@ class ReadColumn:
             ),
         )
         self.n_simulations += n
+        self.n_nonconverged += int(np.count_nonzero(~res.converged))
         return _access_metric(res, "blb", "bl", self.timing, self.dv_spec,
                               penalty_per_volt)
 
@@ -342,6 +346,7 @@ class ReadColumn:
             ),
         )
         self.n_simulations += n
+        self.n_nonconverged += int(np.count_nonzero(~res.converged))
         return res.value["diff_at_wl_fall"]
 
     def differential_at_wl_fall(self, delta_vth=None) -> float:

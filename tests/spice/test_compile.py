@@ -19,6 +19,7 @@ from repro.spice.compile import (
     RetirePolicy,
     ValueProbe,
     _SchurSolver,
+    _expand_compact,
     solveN,
     transient_grid,
 )
@@ -280,6 +281,13 @@ class TestSparseAssembly:
         np.testing.assert_array_equal(d, s)
 
 
+def _compact(a, pattern):
+    """A dense ``(n, n, m)`` stack as the solver's compact rows."""
+    n, _, m = a.shape
+    rows = a.reshape(n * n, m)[np.flatnonzero(pattern)]
+    return np.concatenate([rows, np.zeros((1, m))])
+
+
 class TestSchurSolver:
     @staticmethod
     def _bordered_stack(rng, n_blocks=5, h=2, m=64):
@@ -306,7 +314,27 @@ class TestSchurSolver:
         pattern = np.any(a != 0.0, axis=2)
         solver = _SchurSolver(pattern, min_pivot=1e-18)
         assert solver.h.size == 2
-        x = solver.solve(a, b)
+        x = solver.solve(_compact(a, pattern), b)
+        ref = np.linalg.solve(
+            np.ascontiguousarray(a.transpose(2, 0, 1)),
+            np.ascontiguousarray(b.T)[..., None],
+        )[..., 0].T
+        np.testing.assert_allclose(x, ref, rtol=1e-9, atol=1e-12)
+
+    def test_singular_block_falls_back_through_a_dense_stack(self):
+        """An exactly singular interior block defeats the block
+        elimination although the full matrix is solvable: the solve
+        raises, and the expanded dense stack solves through solveN
+        (run()'s fallback)."""
+        rng = np.random.default_rng(16)
+        a, b = self._bordered_stack(rng)
+        pattern = np.any(a != 0.0, axis=2)
+        solver = _SchurSolver(pattern, min_pivot=1e-18)
+        a[2:4, 2:4] = 0.0  # the first cell pair's block
+        compact = _compact(a, pattern)
+        with pytest.raises(np.linalg.LinAlgError):
+            solver.solve(compact, b)
+        x = solveN(_expand_compact(compact, np.flatnonzero(pattern), a.shape[0]), b)
         ref = np.linalg.solve(
             np.ascontiguousarray(a.transpose(2, 0, 1)),
             np.ascontiguousarray(b.T)[..., None],
@@ -338,7 +366,7 @@ class TestSchurSolver:
         pattern = np.any(a != 0.0, axis=2)
         solver = _SchurSolver(pattern, min_pivot=1e-18)
         assert solver.h.size == 6
-        x = solver.solve(a, b)
+        x = solver.solve(_compact(a, pattern), b)
         ref = np.linalg.solve(
             np.ascontiguousarray(a.transpose(2, 0, 1)),
             np.ascontiguousarray(b.T)[..., None],
@@ -351,6 +379,58 @@ class TestSchurSolver:
         for n in (12, 40):
             with pytest.raises(SimulationError, match="schur"):
                 _SchurSolver(np.ones((n, n), dtype=bool), min_pivot=1e-18)
+
+
+class TestCompactJacobian:
+    """Schur plans assemble and solve on compact rows: one per structural
+    nonzero of the compile-time pattern, plus an always-zero row."""
+
+    def test_array_slice_layout(self):
+        from repro.sram.array import ArraySlice
+
+        ct = ArraySlice().compiled(n_steps=120)
+        assert ct.n_unknowns == 138
+        assert ct._jac_index.size == 538  # of 138² = 19 044 entries
+        # Border-set widths: 4 bitlines per data line, 2 per cell pair.
+        assert [b.shape for b in ct._schur.borders] == [(2, 4), (64, 2)]
+
+    def test_sparse_schur_plan_holds_no_dense_tables(self):
+        from repro.sram.benches import bench_compiled
+
+        ct = bench_compiled("array", assembly="sparse", solver="schur")
+        assert ct._m_mat is None
+        assert ct._plan.base_jac is None
+        assert ct._plan.base_compact.shape == (
+            ct._plan.n_steps, ct._jac_index.size + 1
+        )
+
+    def test_cross_check_plans_keep_their_dense_tables(self):
+        from repro.sram.benches import bench_compiled
+
+        dense = bench_compiled("array", assembly="dense", solver="schur")
+        assert dense._m_mat is not None and dense._plan.base_jac is None
+        blocked = bench_compiled("array", assembly="sparse", solver="blocked")
+        assert blocked._m_mat is not None and blocked._plan.base_compact is None
+
+    def test_fast_run_never_expands_to_a_dense_stack(self, monkeypatch):
+        """Only the LinAlgError fallback and the reference kernel expand
+        compact rows to a (nu, nu, m) stack; widths below and above the
+        old skinny-delegation cutoff both stay compact."""
+        import repro.spice.compile as compile_mod
+        from repro.sram.array import ArrayConfig, ArraySlice
+        from repro.sram.benches import bench_compiled
+
+        ct = bench_compiled("array", assembly="sparse", solver="schur")
+        ic = ArraySlice(config=ArrayConfig(n_cols=2, n_leakers=3))._initial_conditions()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense expansion on the normal path")
+
+        monkeypatch.setattr(compile_mod, "_expand_compact", refuse)
+        rng = np.random.default_rng(15)
+        for n in (3, 20):
+            dvth = rng.normal(0.0, 0.03, size=(n, len(ct.device_names)))
+            assert ct.run(ic=ic, n=n, delta_vth=dvth).converged.shape == (n,)
 
 
 class TestSolverChoice:

@@ -176,6 +176,60 @@ class TestIndexMapMutations:
         assert "P004" in _codes(diags)
 
 
+class TestCompactTableMutations:
+    """One mutation per table of the compact Jacobian layout."""
+
+    @staticmethod
+    def _schur_plan():
+        ct = bench_compiled("array", assembly="sparse", solver="schur")
+        assert ct._m_mat is None
+        return ct
+
+    def test_p002_compact_round_retargeted(self):
+        ct = self._schur_plan()
+        rounds = list(ct._jac_rounds)
+        rp, cp, rm, cm = rounds[-1]
+        unused = np.setdiff1d(np.arange(ct._jac_index.size), np.r_[rp, rm])
+        # Still collision-free, but one stamp lands on the wrong entry.
+        if rp.size:
+            rp = np.r_[unused[:1], rp[1:]]
+        else:
+            rm = np.r_[unused[:1], rm[1:]]
+        rounds[-1] = (rp, cp, rm, cm)
+        ct._jac_rounds = rounds
+        assert _codes(_errors(audit_plan(ct))) == ["P002"]
+
+    def test_p004_compact_index_missing_stamped_entry(self):
+        ct = self._schur_plan()
+        nu = ct.n_unknowns
+        index = ct._jac_index
+        row, col = index // nu, index % nu
+        linear = (ct.cmat != 0.0) | (ct._gmat != 0.0)
+        stamp_only = index[(row != col) & ~linear[row, col]]
+        ct._jac_index = np.setdiff1d(index, stamp_only[:1])
+        diags = _errors(audit_plan(ct))
+        assert _codes(diags) == ["P004"]
+        assert any("misses 1 of the stamped" in d.message for d in diags)
+
+    def test_p005_stale_compact_base(self):
+        ct = self._schur_plan()
+        ct._plan.base_compact = ct._plan.base_compact + 1e-3
+        diags = _errors(audit_plan(ct))
+        assert _codes(diags) == ["P005"]
+        assert any(d.subject == "base_compact" for d in diags)
+
+    def test_p003_border_set_missing_touched_node(self):
+        ct = self._schur_plan()
+        schur = ct._schur
+        border = np.array(schur.borders[-1], copy=True)
+        assert border.shape[1] >= 2 and np.all(border >= 0)
+        border[0, -1] = -1  # the first block forgets its last border node
+        schur.borders[-1] = border
+        diags = _errors(audit_plan(ct))
+        assert _codes(diags) == ["P003"]
+        assert any("misses border nodes" in d.message for d in diags)
+
+
 class TestPlanTableMutations:
     def test_p005_stale_step_sizes(self):
         ct = bench_compiled("latch")

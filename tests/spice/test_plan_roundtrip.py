@@ -114,6 +114,40 @@ class TestRoundTripMatrix:
         _assert_results_bit_equal(_run_bench(ct, name), _run_bench(restored, name))
 
 
+class TestProductionSizeRestore:
+    """The benchmark's plan: the 4x16 array slice at 120 steps, whose
+    sparse Schur layout has no dense incidence to rebuild."""
+
+    def test_array_slice_restores_small_and_bit_identical(self):
+        import tracemalloc
+
+        from repro.sram.array import ArraySlice
+
+        arr = ArraySlice()
+        ct = arr.compiled(n_steps=120)
+        assert (ct.n_unknowns, ct.assembly, ct.solver) == (138, "sparse", "schur")
+        blob = pickle.dumps(ct)
+
+        tracemalloc.start()
+        try:
+            restored = pickle.loads(blob)  # __setstate__ runs assert_plan_clean
+            diags = audit_plan(restored)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [d for d in diags if d.severity == "error"] == []
+        assert peak < 128 * 2**20
+        assert restored._m_mat is None and ct._m_mat is None
+
+        rng = np.random.default_rng(7)
+        dvth = rng.normal(0.0, 0.03, size=(4, len(ct.device_names)))
+        ic = arr._initial_conditions()
+        _assert_results_bit_equal(
+            ct.run(ic=ic, n=4, delta_vth=dvth),
+            restored.run(ic=ic, n=4, delta_vth=dvth),
+        )
+
+
 class TestFreshInterpreterRestore:
     def test_plan_serialized_here_runs_bit_identically_there(self, tmp_path):
         """Compile once, ship the bytes, restore in a fresh interpreter."""

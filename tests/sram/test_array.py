@@ -185,6 +185,23 @@ class TestReadPhysics:
         assert arr.n_simulations == before + 3
 
 
+class TestNewtonHealth:
+    def test_nonconverged_samples_counted_alike_by_both_assemblies(self):
+        """A 2x8 slice at 120 steps leaves some samples with a
+        non-converged Newton step (8 of these 64 when measured).  The
+        count is a property of the inputs, not of the assembly pass;
+        the metric itself stays as it was."""
+        counts = {}
+        for asm in ("sparse", "dense"):
+            arr = ArraySlice(config=ArrayConfig(n_cols=2, n_leakers=7))
+            dvth = np.random.default_rng(0).normal(
+                0.0, 0.03, size=(64, arr.n_variation_devices)
+            )
+            arr.access_times_batch(dvth, n_steps=120, assembly=asm)
+            counts[asm] = arr.n_nonconverged
+        assert counts["sparse"] == counts["dense"] > 0
+
+
 class TestResolveBatch:
     @pytest.fixture(scope="class")
     def arr(self):

@@ -1,5 +1,6 @@
 """Column testbench tests: loading, leakage, data-pattern dependence."""
 
+import numpy as np
 import pytest
 
 from repro.sram.column import CBL_PER_CELL, CBL_WIRE, ColumnConfig, ReadColumn
@@ -66,6 +67,18 @@ class TestReadBehaviour:
     def test_variation_restored_after_run(self, small_column):
         small_column.access_sample({"m_pg_l_a": 0.1})
         assert small_column.circuit["m_pg_l_a"].delta_vth == 0.0
+
+    def test_nonconverged_counter(self):
+        """Compiled batches count samples with a non-converged Newton
+        step; the 16-cell column at 120 steps has a few."""
+        column = ReadColumn(config=ColumnConfig(n_leakers=15))
+        assert column.n_nonconverged == 0
+        dvth = np.random.default_rng(0).normal(0.0, 0.03, size=(64, 96))
+        column.access_times_batch(dvth, n_steps=120)
+        assert 0 < column.n_nonconverged < 64
+        before = column.n_nonconverged
+        column.access_times_batch(dvth, n_steps=300)
+        assert column.n_nonconverged == before
 
     def test_simulation_counter(self, small_column):
         before = small_column.n_simulations

@@ -24,8 +24,7 @@ setup(
     extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
     entry_points={
         "console_scripts": [
-            # One benchmark entry point; the four benchmarks/*.py
-            # drivers are back-compat shims over the same CLI.
+            # One benchmark entry point (also `python -m repro.bench`).
             "repro-bench=repro.bench.cli:main",
         ],
     },

@@ -1,4 +1,4 @@
-"""Unified benchmark harness: sections, gates, reports, trajectory.
+"""Unified benchmark harness: sections, gates, reports.
 
 One package owns everything that produces or consumes performance
 evidence:
@@ -10,20 +10,18 @@ evidence:
   ceilings, bit-identity);
 * :mod:`repro.bench.report` — the one versioned JSON report schema
   every driver emits;
-* :mod:`repro.bench.trajectory` — the committed cross-PR performance
-  record, deduped by commit and gated against same-host history;
 * :mod:`repro.bench.meta` — host provenance for every record;
 * :mod:`repro.bench.sections` — the registered workloads (tags
   ``smoke``/``kernel``/``sharding``/``chaos``/...);
-* :mod:`repro.bench.cli` — the ``repro-bench`` entry point the four
-  historical driver scripts now shim onto.
+* :mod:`repro.bench.cli` — the ``repro-bench`` entry point
+  (``python -m repro.bench``).
 
 Importing :mod:`repro.bench` stays cheap: sections (and numpy-heavy
 workload code) load only when a suite actually runs.
 """
 
 from repro.bench.gates import GateOutcome, GateSpec, evaluate_gates, format_outcome
-from repro.bench.meta import host_key, host_metadata
+from repro.bench.meta import host_metadata
 from repro.bench.registry import (
     REGISTRY,
     Registry,
@@ -34,14 +32,12 @@ from repro.bench.registry import (
     section,
 )
 from repro.bench.report import SCHEMA_VERSION, build_report, load_report, write_report
-from repro.bench.trajectory import append_run, check_trajectory, load_trajectory
 
 __all__ = [
     "GateOutcome",
     "GateSpec",
     "evaluate_gates",
     "format_outcome",
-    "host_key",
     "host_metadata",
     "REGISTRY",
     "Registry",
@@ -54,7 +50,4 @@ __all__ = [
     "build_report",
     "load_report",
     "write_report",
-    "append_run",
-    "check_trajectory",
-    "load_trajectory",
 ]

@@ -1,44 +1,32 @@
-"""``repro-bench`` — the one entry point for every benchmark driver.
-
-Replaces the four ad-hoc ``main()``s (``smoke.py``, ``bench_kernel.py``,
-``bench_sharding.py``, ``bench_chaos.py``; all four remain as thin
-back-compat shims over this module)::
+"""``repro-bench`` — the one entry point for every benchmark driver::
 
     repro-bench --list                       # sections, tags, gates
     repro-bench --tags kernel                # run one tag group
     repro-bench --only plan-cache            # run named sections
     repro-bench --check --tags smoke \\
-                --json-out BENCH_smoke.json  # wall gates + trajectory
+                --json-out BENCH_smoke.json  # plus wall gates vs baseline
     repro-bench --update-baseline --tags smoke
-    repro-bench --check-trajectory --json-out BENCH_smoke.json
 
 A plain run executes the selected sections and enforces their
 *internal* gates (ratio floors/ceilings, bit-identity).  ``--check``
 additionally enforces the per-section wall-clock gates against the
-committed baseline (with the ``--min-section`` noise floor), appends
-this run to the committed trajectory (deduped by ``GITHUB_SHA``) and
-gates the run against its same-host trajectory history.
-``--check-trajectory`` runs only that last comparison, against an
-already-written ``--json-out`` report.  Exit status is non-zero when
-any gate fails or any section errors.
+committed baseline (with the ``--min-section`` noise floor).  Exit
+status is non-zero when any gate fails or any section errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import pathlib
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.bench import gates as gates_mod
 from repro.bench import report as report_mod
-from repro.bench import trajectory as trajectory_mod
 from repro.bench.gates import GateOutcome, format_outcome
 from repro.bench.registry import REGISTRY, SectionResult, run_sections
 from repro.errors import ConfigError
 
 DEFAULT_BASELINE = pathlib.Path("benchmarks/results/smoke_baseline.json")
-DEFAULT_TRAJECTORY = pathlib.Path("benchmarks/results/trajectory.json")
 
 
 def _load_sections() -> None:
@@ -49,11 +37,9 @@ def _load_sections() -> None:
 def run_suite(
     only: Optional[Sequence[str]] = None,
     tags: Optional[Sequence[str]] = None,
-    overrides: Optional[Mapping[str, Mapping[str, Any]]] = None,
     repeats: Optional[int] = None,
-    echo=print,
 ) -> Dict[str, SectionResult]:
-    """Run the selected sections; the shared API under every shim."""
+    """Run the selected sections."""
     _load_sections()
     chosen = REGISTRY.select(only=only, tags=tags)
     if not chosen:
@@ -61,7 +47,7 @@ def run_suite(
             "selection matched no benchmark sections "
             f"(only={list(only or [])}, tags={list(tags or [])})"
         )
-    return run_sections(chosen, overrides=overrides, repeats=repeats, echo=echo)
+    return run_sections(chosen, repeats=repeats)
 
 
 def evaluate_suite(
@@ -85,58 +71,11 @@ def evaluate_suite(
     return outcomes
 
 
-def run_and_report(
-    only: Optional[Sequence[str]] = None,
-    tags: Optional[Sequence[str]] = None,
-    overrides: Optional[Mapping[str, Mapping[str, Any]]] = None,
-    json_out: Optional[pathlib.Path] = None,
-    echo=print,
-) -> int:
-    """Plain run + internal gates + schema'd report: the shim workhorse."""
-    results = run_suite(only=only, tags=tags, overrides=overrides, echo=echo)
-    outcomes = evaluate_suite(results)
-    for outcome in outcomes:
-        echo(format_outcome(outcome))
-    if json_out is not None:
-        report_mod.write_report(json_out, report_mod.build_report(results, outcomes))
-        echo(f"report written to {json_out}")
-    failed = [o for o in outcomes if o.failed]
-    broken = [r.name for r in results.values() if not r.valid]
-    if broken:
-        echo(f"FAIL: sections errored: {', '.join(broken)}")
-    if failed:
-        echo(f"FAIL: {len(failed)} gate(s) tripped")
-    return 1 if (failed or broken) else 0
-
-
 def _print_list() -> int:
     _load_sections()
     for sec in REGISTRY.select():
         gate_ids = ", ".join(g.gate_id for g in sec.gates) or "—"
         print(f"{sec.name:24s} tags={','.join(sec.tags):24s} gates: {gate_ids}")
-    return 0
-
-
-def _check_trajectory_only(args: argparse.Namespace) -> int:
-    if args.json_out is None:
-        raise ConfigError(
-            "--check-trajectory needs --json-out pointing at the run "
-            "report to compare (write one with --check first)"
-        )
-    report = report_mod.load_report(args.json_out)
-    outcomes = trajectory_mod.check_trajectory(
-        args.trajectory, report,
-        sha=os.environ.get("GITHUB_SHA"),
-        factor=args.trajectory_factor,
-        min_section=args.min_section,
-    )
-    for outcome in outcomes:
-        print(format_outcome(outcome))
-    failed = [o for o in outcomes if o.failed]
-    if failed:
-        print(f"FAIL: {len(failed)} trajectory gate(s) tripped")
-        return 1
-    print("trajectory check ok")
     return 0
 
 
@@ -161,13 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the schema'd machine-readable report here")
     parser.add_argument("--check", action="store_true",
                         help="enforce wall-clock gates vs the committed "
-                             "baseline, append to and check the trajectory")
+                             "baseline")
     parser.add_argument("--update-baseline", action="store_true",
                         help="record this run as the new baseline (with host "
                              "metadata under '_meta' for provenance)")
-    parser.add_argument("--check-trajectory", action="store_true",
-                        help="only compare an existing --json-out report "
-                             "against the same-host trajectory history")
     parser.add_argument("--factor", type=float, default=None,
                         help="wall-clock regression factor (default: each "
                              f"gate's own, {gates_mod.DEFAULT_WALL_FACTOR})")
@@ -178,13 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--baseline", type=pathlib.Path,
                         default=DEFAULT_BASELINE,
                         help="committed per-section wall-clock baseline")
-    parser.add_argument("--trajectory", type=pathlib.Path,
-                        default=DEFAULT_TRAJECTORY,
-                        help="committed cross-PR trajectory file")
-    parser.add_argument("--trajectory-factor", type=float,
-                        default=trajectory_mod.DEFAULT_CHECK_FACTOR,
-                        help="regression factor vs the same-host trajectory "
-                             "median")
     return parser
 
 
@@ -193,8 +122,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.list:
             return _print_list()
-        if args.check_trajectory and not args.check:
-            return _check_trajectory_only(args)
 
         baseline: Optional[Dict[str, Any]] = None
         if args.check:
@@ -239,22 +166,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         report = report_mod.build_report(results, outcomes, baseline=baseline)
-        if args.check:
-            sha = os.environ.get("GITHUB_SHA")
-            # Check against history *before* appending, so a local run
-            # (no sha to dedupe on) cannot vouch for itself.
-            trajectory_outcomes = trajectory_mod.check_trajectory(
-                args.trajectory, report, sha=sha,
-                factor=args.trajectory_factor,
-                min_section=args.min_section,
-            )
-            outcomes = outcomes + trajectory_outcomes
-            report = report_mod.build_report(
-                results, outcomes, baseline=baseline
-            )
-            trajectory_mod.append_run(args.trajectory, report, sha=sha)
-            print(f"trajectory updated at {args.trajectory}")
-
         for outcome in outcomes:
             print(format_outcome(outcome))
         if args.json_out is not None:

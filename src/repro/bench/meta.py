@@ -1,12 +1,9 @@
 """Host provenance for benchmark records.
 
-Every benchmark report and trajectory entry carries a ``_meta`` block
+Every benchmark report and committed baseline carries a ``_meta`` block
 describing the machine that produced the numbers — which CPU, which
-Python, which BLAS-bearing numpy — so a wall-clock comparison across
-records can be restricted to like-for-like hosts instead of folklore.
-
-Historically this lived in ``benchmarks/smoke.py`` and the chaos driver
-imported it through a ``sys.path`` hack; it is library code now.
+Python, which BLAS-bearing numpy — so a wall-clock comparison can be
+judged against the host it was recorded on.
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from __future__ import annotations
 import os
 import platform
 import time
-from typing import Mapping, Tuple
 
 
 def host_metadata() -> dict:
@@ -39,21 +35,3 @@ def host_metadata() -> dict:
         "cpu_count": os.cpu_count(),
         "recorded_unix": round(time.time(), 1),
     }
-
-
-def host_key(meta: Mapping[str, object]) -> Tuple[str, str, str]:
-    """Comparison key for "same host, same interpreter" timing records.
-
-    Two records are wall-clock comparable when they ran on the same CPU
-    model with the same core count under the same ``major.minor``
-    Python.  Numpy patch level and the exact platform string are
-    deliberately excluded: they churn without moving the hot paths, and
-    a real BLAS swap shows up as a CPU/python mismatch in practice or as
-    an explicit baseline re-record.
-    """
-    python = str(meta.get("python", ""))
-    return (
-        str(meta.get("cpu", "")),
-        str(meta.get("cpu_count", "")),
-        ".".join(python.split(".")[:2]),
-    )

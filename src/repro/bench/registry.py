@@ -207,8 +207,7 @@ def run_sections(
     """Run sections in order; returns ``{name: SectionResult}``.
 
     ``overrides`` maps section name to keyword parameters for that
-    section's setup/run pair (the back-compat shims use this to forward
-    their historical CLI flags).
+    section's setup/run pair.
     """
     results: Dict[str, SectionResult] = {}
     overrides = overrides or {}

@@ -1,4 +1,4 @@
-"""Fault-tolerance recovery overhead (the old ``bench_chaos.py``).
+"""Fault-tolerance recovery overhead.
 
 One pinned shard plan three ways — fault-free baseline, under an
 injected fault schedule (transient exception + worker kill + NaN
@@ -6,7 +6,7 @@ corruption, each recovered by the retry policy), and journaled-then-
 resumed.  The engine's recovery contract is the gated value: every
 variant must merge **bit-identical** to the fault-free run.  The
 recovery cost (wall-clock vs baseline) and the fault counters are
-reported for the trajectory.
+reported.
 
 On a platform without the fork start method the chaos leg cannot run;
 its values stay unmeasured and the ``chaos.faulted_bit_identical``

@@ -1,4 +1,4 @@
-"""Fast-vs-reference throughput sweeps (the old ``bench_kernel.py``).
+"""Fast-vs-reference throughput sweeps.
 
 Three sections, one per compiled-circuit family, each with the same
 contract: the fused fast kernel must be at least as fast as the

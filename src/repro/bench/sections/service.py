@@ -9,7 +9,7 @@ socket throughput, which would gate the container's network stack.
 
 No ``wall_factor`` gates here: the section is new, so it carries
 absolute ratio/bool gates instead of a committed-baseline comparison
-(the report still records wall time for the trajectory check to watch).
+(the report still records each section's wall time).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Sharded-engine determinism and speedup (the old ``bench_sharding.py``).
+"""Sharded-engine determinism and speedup.
 
 Runs the F1-style gradient-IS workload (read-access limit state on the
 batched 6T engine) three ways with one pinned shard plan:

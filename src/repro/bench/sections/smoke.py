@@ -121,7 +121,7 @@ def system_read_batched(ctx):
         _wall("column-read-batched"),
         GateSpec("column-read.sparse_vs_dense", "ratio_min",
                  key="speedup_sparse_vs_dense", threshold=2.0,
-                 description="sparse scatter-stamp assembly vs dense cross-check"),
+                 description="sparse CSR stamp assembly vs dense cross-check"),
         GateSpec("column-read.sparse_bit_equal_dense", "bool_true",
                  key="sparse_bit_equal_dense",
                  description="stamp-determinism invariant for this BLAS build"),
@@ -134,8 +134,8 @@ def column_read_batched(ctx):
     and through the dense-assembly cross-check at the same sample count
     (min of two timed runs per path, so timer noise on a loaded runner
     cannot trip the gate spuriously).  The bit-equality leg pins the
-    stamp-determinism invariant for *this* BLAS build (the scatter
-    rounds replay dgemm's ascending-k reduction; see the
+    stamp-determinism invariant for *this* BLAS build (the CSR product
+    adds each row's stamps in dgemm's ascending-k order; see the
     `_SPARSE_MIN_BATCH` note in repro.spice.compile) — a numpy linked
     against a BLAS with a different reduction order fails the
     ``column-read.sparse_bit_equal_dense`` gate by design, flagging

@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stored pattern of the unaccessed cells")
     p_col.add_argument("--assembly", choices=("auto", "dense", "sparse"),
                        default="auto",
-                       help="compiler assembly pass: sparse scatter stamps "
+                       help="compiler assembly pass: one sparse CSR stamp product "
                             "(auto above the node-count threshold) or the "
                             "dense incidence matmuls (cross-check)")
 
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stored pattern of the unaccessed cells")
     p_arr.add_argument("--assembly", choices=("auto", "dense", "sparse"),
                        default="auto",
-                       help="compiler assembly pass: sparse scatter stamps "
+                       help="compiler assembly pass: one sparse CSR stamp product "
                             "(auto above the node-count threshold) or the "
                             "dense incidence matmuls (cross-check)")
     p_arr.add_argument("--solver", choices=("auto", "schur", "blocked"),

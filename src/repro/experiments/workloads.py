@@ -666,7 +666,7 @@ def make_array_read_limitstate(
 
     ``6 * n_cols * (n_leakers + 1)`` u-axes — every transistor of every
     cell on every column — evaluated in bulk on the compiled slice
-    (sparse scatter-stamp assembly plus the per-column Schur peel: cell
+    (sparse CSR stamp assembly plus the per-column Schur peel: cell
     pairs as interior blocks against a border of all bitlines, the mux
     data lines as interior singletons; ``assembly="dense"`` and
     ``solver="blocked"`` keep the cross-check paths).  Failure is the

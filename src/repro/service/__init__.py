@@ -19,14 +19,12 @@ CLI ``--json`` flag prints.  The layering:
   in-process :class:`ServiceClient` used by tests, the bench section
   and ``tools/loadtest.py``.
 * :mod:`repro.service.http` — the stdlib socket adapter
-  (``ThreadingHTTPServer``) behind ``repro.cli serve``, and a minimal
-  ASGI adapter for anyone who wants to mount the app under an external
-  ASGI server.
+  (``ThreadingHTTPServer``) behind ``repro.cli serve``.
 """
 
 from repro.service.app import ServiceApp, ServiceClient
 from repro.service.executor import JobExecutor
-from repro.service.http import asgi_app, serve
+from repro.service.http import serve
 from repro.service.jobs import Job, JobStore
 
 __all__ = [
@@ -35,6 +33,5 @@ __all__ = [
     "JobExecutor",
     "ServiceApp",
     "ServiceClient",
-    "asgi_app",
     "serve",
 ]

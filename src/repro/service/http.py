@@ -1,14 +1,11 @@
-"""Transport adapters: stdlib sockets (and optionally ASGI) over the app.
+"""Transport adapter: stdlib sockets over the app.
 
 The service core is transport-free (:class:`~repro.service.app.ServiceApp`
 is a function from ``(method, path, body)`` to ``(status, payload)``),
 so this module only has to move bytes: a ``ThreadingHTTPServer``
 handler for ``repro.cli serve`` — zero dependencies beyond the standard
 library, per the project rule that tier-1 functionality never grows
-hard third-party requirements — and a minimal ASGI callable for anyone
-who prefers to mount the app under an external ASGI server (uvicorn
-etc.); the ASGI adapter is plain-function, so no ASGI package is
-imported here either.
+hard third-party requirements.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from typing import Any, Callable, Optional, Tuple
 from repro.service.app import ServiceApp
 from repro.service.schemas import error_body
 
-__all__ = ["make_server", "serve", "asgi_app"]
+__all__ = ["make_server", "serve"]
 
 _MAX_BODY_BYTES = 1 << 20  # a request envelope is small; refuse abuse early
 
@@ -100,45 +97,3 @@ def serve(
     finally:
         server.server_close()
         app.close(drain=True)
-
-
-def asgi_app(app: ServiceApp) -> Callable[..., Any]:
-    """Wrap the service as an ASGI 3 callable (optional integration).
-
-    Lets ``uvicorn`` (or any ASGI server the *user* installs — nothing
-    here imports one) mount the same routes:
-    ``uvicorn.run(asgi_app(ServiceApp()))``.
-    """
-
-    async def application(scope: dict, receive: Callable[..., Any], send: Callable[..., Any]) -> None:
-        if scope["type"] == "lifespan":
-            while True:
-                message = await receive()
-                if message["type"] == "lifespan.startup":
-                    await send({"type": "lifespan.startup.complete"})
-                elif message["type"] == "lifespan.shutdown":
-                    app.close(drain=True)
-                    await send({"type": "lifespan.shutdown.complete"})
-                    return
-        if scope["type"] != "http":
-            return
-        raw = b""
-        while True:
-            message = await receive()
-            raw += message.get("body", b"")
-            if not message.get("more_body"):
-                break
-        status, body = _dispatch_raw(app, scope["method"], scope["path"], raw)
-        await send(
-            {
-                "type": "http.response.start",
-                "status": status,
-                "headers": [
-                    (b"content-type", b"application/json"),
-                    (b"content-length", str(len(body)).encode("ascii")),
-                ],
-            }
-        )
-        await send({"type": "http.response.body", "body": body})
-
-    return application

@@ -1,7 +1,7 @@
 """Compiled-plan auditor: statically prove a ``CompiledTransient`` well-formed.
 
 :func:`audit_plan` inspects the artifacts a compile produced — gather
-maps, incidence tables, the compact-row index, scatter rounds, the
+maps, incidence tables, the compact-row index, the stamp CSR, the
 Schur partition, hoisted per-step tables, probe tables — and checks
 every invariant the fused integrator relies on, *without running a
 transient*.  Every stamp check replays the original per-device loop
@@ -14,12 +14,12 @@ is ever built:
   the compact-row index covers every stamped entry (and ``C``, ``G``
   and the diagonal); a dense incidence, where the plan multiplies by
   one, holds exactly the replayed stamps.
-* **P001/P002** — the sparse assembly's scatter rounds are collision-free
-  (no round targets a compact row twice) and, read through the
-  compact-row index, replay the dense matmul's k-ascending per-entry
-  accumulation order exactly: per entry, the rounds must apply the
-  replayed (column, sign) stamps in ascending column order.  This is
-  the static proof behind the "sparse is bit-equal to dense" invariant.
+* **P002** — the sparse assembly's stamp CSR holds, row by row, each
+  compact row's replayed (column, ±1) stamps in ascending column order,
+  and its trailing zero row is empty.  The CSR product adds a row's
+  entries in stored order, so this is the static proof behind the
+  "sparse is bit-equal to dense" invariant.  (P001 is retired: it stays
+  registered, since codes are append-only, but is never emitted.)
 * **P003** — the Schur decomposition is a genuine bordered-block-diagonal
   partition of the pattern rebuilt from the replay: border plus
   interior blocks partition the unknowns exactly, every interior block
@@ -242,68 +242,81 @@ def _audit_index_maps(ct: CompiledTransient, replay, diags: List[Diagnostic]) ->
     return index_ok
 
 
-def _audit_scatter_rounds(
+def _audit_stamp_csr(
     ct: CompiledTransient, replay, index_ok: bool, diags: List[Diagnostic]
 ) -> None:
-    """P001/P002: rounds collision-free and replaying the dense order."""
-    rounds = ct._jac_rounds
+    """P002: the stamp CSR holds the replayed stamps row by row, in order."""
+    csr = ct._jac_csr
     if ct.assembly != "sparse":
-        if rounds is not None:
+        if csr is not None:
             diags.append(
                 _diag(
-                    "P002", "error", "jac_rounds",
-                    "dense assembly carries scatter rounds it will not apply",
+                    "P002", "error", "jac_csr",
+                    "dense assembly carries a stamp CSR it will not apply",
                 )
             )
         return
-    if rounds is None:
+    if csr is None:
         diags.append(
             _diag(
-                "P002", "error", "jac_rounds",
-                "sparse assembly compiled without scatter rounds",
+                "P002", "error", "jac_csr",
+                "sparse assembly compiled without a stamp CSR",
             )
         )
         return
     if not index_ok:
-        return  # P004 already reported; rounds cannot be read through it
+        return  # P004 already reported; rows cannot be read through it
 
     index = np.asarray(ct._jac_index)
-    # Replay the rounds symbolically through the compact-row index: per
-    # target entry, the (column, sign) stamps in round order.
-    replayed: dict = {}
-    for r, (rp, cp, rm, cm) in enumerate(rounds):
-        targets = np.concatenate([rp, rm])
-        if np.unique(targets).size != targets.size:
-            diags.append(
-                _diag(
-                    "P001", "error", f"round {r}",
-                    "round targets a Jacobian row more than once "
-                    "(fancy-index accumulation would drop stamps)",
-                )
+    n_rows = index.size + 1
+    shape = (n_rows, 4 * ct.n_devices)
+    if getattr(csr, "format", None) != "csr" or csr.shape != shape:
+        diags.append(
+            _diag(
+                "P002", "error", "jac_csr",
+                f"not a CSR matrix of shape {shape} (one row per compact "
+                "row plus the zero row, one column per G_stack row)",
             )
-        if targets.size and (targets.min() < 0 or targets.max() >= index.size):
-            diags.append(
-                _diag(
-                    "P002", "error", f"round {r}",
-                    f"round targets rows outside the {index.size} compact rows",
-                )
-            )
-            return
-        for row, col in zip(rp, cp):
-            replayed.setdefault(int(index[row]), []).append((int(col), 1.0))
-        for row, col in zip(rm, cm):
-            replayed.setdefault(int(index[row]), []).append((int(col), -1.0))
-
-    if replayed != replay:
-        bad = sorted(
-            set(replayed) ^ set(replay)
-            | {e for e in set(replayed) & set(replay) if replayed[e] != replay[e]}
         )
+        return
+    indptr = np.asarray(csr.indptr)
+    cols, data = np.asarray(csr.indices), np.asarray(csr.data)
+    if not (
+        indptr.shape == (n_rows + 1,)
+        and indptr[0] == 0
+        and np.all(np.diff(indptr) >= 0)
+        and indptr[-1] == cols.size == data.size
+    ):
+        diags.append(
+            _diag(
+                "P002", "error", "jac_csr",
+                "row pointers do not partition the stored entries",
+            )
+        )
+        return
+    if indptr[-1] != indptr[-2]:
+        diags.append(
+            _diag(
+                "P002", "error", "zero row",
+                "the trailing always-zero row holds stamps",
+            )
+        )
+
+    # Row by row against the replay: each compact row must store its
+    # entry's (column, ±1) stamps, columns ascending — the order the
+    # CSR product adds them in.
+    want = {int(np.searchsorted(index, e)): stamps for e, stamps in replay.items()}
+    bad = []
+    for r in range(n_rows - 1):
+        lo, hi = indptr[r], indptr[r + 1]
+        if list(zip(cols[lo:hi].tolist(), data[lo:hi].tolist())) != want.get(r, []):
+            bad.append(int(index[r]))
+    if bad:
         diags.append(
             _diag(
                 "P002", "error", f"entries {bad[:8]}",
-                "scatter rounds do not replay the per-device stamps in "
-                "k-ascending per-entry accumulation order",
+                "stamp CSR rows do not hold the replayed per-device ±1 "
+                "stamps in ascending column order",
             )
         )
 
@@ -720,7 +733,7 @@ def audit_plan(
     diags: List[Diagnostic] = []
     replay = _replay_stamps(ct)
     index_ok = _audit_index_maps(ct, replay, diags)
-    _audit_scatter_rounds(ct, replay, index_ok, diags)
+    _audit_stamp_csr(ct, replay, index_ok, diags)
     _audit_schur(ct, replay, index_ok, diags)
     _audit_plan_tables(ct, index_ok, diags)
     _audit_probes(ct, retire, diags)

@@ -28,27 +28,26 @@ step* instead of a per-circuit rewrite:
   count (``nu²`` rows for a linear number of device stamps) — fine to a
   few dozen unknowns, pure waste beyond.  The ``assembly="sparse"``
   pass (auto-selected above :data:`SPARSE_ASSEMBLY_THRESHOLD` unknowns)
-  instead scatters the COO-style device stamps through precomputed
-  index *rounds* — each round touches every Jacobian entry at most
-  once, so a plain fancy ``out[rows] += src[cols]`` accumulates without
-  collisions, and the per-entry accumulation order reproduces the dense
-  inner products bit-for-bit (the stamp values are exact ±1, so only
-  addition order matters, and rounds apply stamps in the matmul's
-  k-ascending order).  The residual matmul is linear in the node count
-  and stays shared by both paths, so the sparse pass is bit-equal to
-  the dense one on the pinned inputs, which stays selectable as the
-  permanent cross-check.
+  instead multiplies by one ``scipy.sparse`` CSR matrix holding the
+  device stamps, one row per compact Jacobian row (below).  The CSR ×
+  dense kernel adds each row's entries in stored order, the stamps are
+  stored with columns ascending, and every stamp is an exact ±1, so
+  each entry gets the same additions in the same order as the dense
+  matmul's k-ascending inner products.  The residual matmul is linear
+  in the node count and stays shared by both paths, so the sparse pass
+  is bit-equal to the dense one on the pinned inputs, which stays
+  selectable as the permanent cross-check.
 * **Compact Jacobians.**  A plan whose solver resolves to ``"schur"``
   stores its Jacobian as *compact rows*: one per structural nonzero of
   the compile-time pattern (device stamps, ``C``, ``G``, the diagonal;
   538 of 19 044 entries on the 4x16 array slice) plus a trailing
-  always-zero row.  The rounds scatter into those rows at every batch
+  always-zero row.  The CSR product yields those rows at every batch
   width, the per-step base ``C/h + G`` is a compact table too, and
   such a sparse plan builds neither the dense incidence ``M`` nor a
   dense per-step base.  A dense-assembly Schur plan gathers its matmul
   result into the same rows, so both assemblies feed the solver
   identical inputs.  Plans without a Schur partition keep the dense
-  stack (a sparse one expands its compact rounds, and hands batches
+  stack (a sparse one expands the CSR product, and hands batches
   under :data:`_SPARSE_MIN_BATCH` samples to the matmul).
 * **Structure-exploiting solves.**  Above 4 unknowns the compiler also
   inspects the Jacobian's compile-time sparsity pattern: when it is
@@ -105,6 +104,7 @@ from types import SimpleNamespace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
+import scipy.sparse
 
 from repro.errors import CompileError, LintError, SimulationError
 from repro.spice.elements import (
@@ -137,7 +137,7 @@ _EPS_RELU = 1e-3
 _EPS_ABS = 5e-3
 
 #: Unknown-node count above which ``assembly="auto"`` switches from the
-#: dense incidence matmuls to the scatter-stamp pass.  At or below this
+#: dense incidence matmuls to the sparse stamp product.  At or below this
 #: the matmuls are small enough that BLAS wins; above it the dense
 #: Jacobian assembly is the dominant per-iteration cost (quadratic in
 #: the node count for a linear number of stamps).
@@ -148,15 +148,16 @@ SPARSE_ASSEMBLY_THRESHOLD = 8
 #: batch assembles exactly as a dense plan would.  These are the
 #: cross-check configurations (forced ``assembly="sparse"`` on circuits
 #: of 4 unknowns or fewer, ``solver="blocked"``, patterns that refuse the
-#: peel); ``test_bit_equal_on_latch`` fails when they scatter at every
-#: width.  Schur plans scatter into compact rows at every width and hold
-#: no ``_m_mat``.  The delegation buys no universal bit-equality:
-#: measured with OpenBLAS 0.3.31 on random conductance stacks, the
-#: matmul equals the scatter rounds at every width from 2 to 20 on the
-#: 2x8 array slice (K = 4·n_dev = 400), at no width tried on the 4x16
-#: slice (K = 1568), and differs at some widths in 1–4, 9–12 and 17–20
-#: on the 6T, latch, write and 3-leaker column benches (K <= 96); the
-#: run-level sparse == dense pins hold on their fixed inputs.
+#: peel); ``test_bit_equal_on_latch`` fails when they multiply by the
+#: stamp CSR at every width.  Schur plans use the CSR product at every
+#: width and hold no ``_m_mat``.  The delegation buys no universal
+#: bit-equality: measured with OpenBLAS 0.3.31 on random conductance
+#: stacks, the matmul equals the in-order stamp sums at every width from
+#: 2 to 20 on the 2x8 array slice (K = 4·n_dev = 400), at no width tried
+#: on the 4x16 slice (K = 1568), and differs at some widths in 1–4,
+#: 9–12 and 17–20 on the 6T, latch, write and 3-leaker column benches
+#: (K <= 96); the run-level sparse == dense pins hold on their fixed
+#: inputs.
 _SPARSE_MIN_BATCH = 16
 
 #: Serialization format version of the compiled-plan state (see
@@ -167,7 +168,7 @@ _SPARSE_MIN_BATCH = 16
 #: a payload carrying a stale version is refused with diagnostic
 #: ``P008`` (and treated as a plain cache miss by the plan cache), never
 #: silently reinterpreted.
-PLAN_FORMAT_VERSION = 2
+PLAN_FORMAT_VERSION = 3
 
 
 #: One stamp list ``(rows, cols, signs)`` of the Jacobian incidence ``M``.
@@ -193,7 +194,7 @@ def _jacobian_stamps(
     ``(row, col)`` pair is unique, and the list is sorted row-major with
     columns ascending — exactly the entries and the order
     ``np.nonzero(M)`` would yield, without a scan over the dense
-    ``nu² x 4·n_dev`` matrix.  ``M`` itself, the scatter rounds and the
+    ``nu² x 4·n_dev`` matrix.  ``M`` itself, the stamp CSR and the
     Schur pattern are all derived from this list.
     """
     n_dev = int(d_idx.size)
@@ -221,7 +222,7 @@ def _jacobian_pattern(
     :func:`_jacobian_stamps`), the nonzeros of ``C`` and ``G`` (the
     per-step base ``C/h + G``) and the whole diagonal.  Its row-major
     nonzeros are the compact-row index: the rows Schur plans store the
-    Jacobian in and the scatter rounds of every sparse plan target.
+    Jacobian in and the rows of every sparse plan's stamp CSR.
     """
     nu = cmat.shape[0]
     pattern = (cmat != 0.0) | (gmat != 0.0)
@@ -231,36 +232,28 @@ def _jacobian_pattern(
     return pattern
 
 
-def _scatter_rounds(stamps: _Stamps, index: np.ndarray):
-    """Decompose the Jacobian stamp list into collision-free scatter rounds.
+def _stamp_csr(stamps: _Stamps, index: np.ndarray, n_cols: int) -> scipy.sparse.csr_array:
+    """The Jacobian stamp list as a CSR matrix over the compact rows.
 
     ``stamps`` is :func:`_jacobian_stamps` output: unique ``(row, col)``
     pairs with ±1 signs, row-major with columns ascending.  ``index`` is
     the compact-row index (sorted flat entries covering every stamped
-    one); each round targets compact rows, ``np.searchsorted(index,
-    row)``.  The result is a list of rounds ``(rows_pos, cols_pos,
-    rows_neg, cols_neg)``: round ``r`` holds the ``r``-th stamp (in
-    ascending column order) of each entry, so within a round every
-    target row is unique and a buffered fancy ``out[rows] += src[cols]``
-    is collision-free.  Applying the rounds in order accumulates each
-    output entry in ascending-column order — the same order the BLAS
-    matmul kernels reduce the inner dimension, which is what makes the
-    sparse pass bit-equal to the dense one on the pinned inputs (the ±1
-    products are exact, so only addition order can differ).
+    one); stamp rows map to compact rows through ``np.searchsorted``, so
+    the row-major list is already in CSR order and needs no sort.  The
+    matrix has ``index.size + 1`` rows, the trailing always-zero row
+    empty, and ``n_cols = 4·n_dev`` columns (the ``G_stack`` rows).
+    ``csr @ g_stack`` adds each row's ±1 stamps in stored (ascending
+    column) order — the order the dense matmul reduces its inner
+    dimension in, which is what makes the sparse pass bit-equal to the
+    dense one on the pinned inputs (the ±1 products are exact, so only
+    addition order can differ).
     """
     rows, cols, signs = stamps
-    rounds = []
-    if rows.size == 0:
-        return rounds
-    first = np.r_[0, np.flatnonzero(np.diff(rows)) + 1]
-    counts = np.diff(np.r_[first, rows.size])
-    rank = np.arange(rows.size) - np.repeat(first, counts)
-    rows = np.searchsorted(index, rows)
-    for r in range(int(rank.max()) + 1):
-        sel = rank == r
-        rr, cc, pos = rows[sel], cols[sel], signs[sel] > 0
-        rounds.append((rr[pos], cc[pos], rr[~pos], cc[~pos]))
-    return rounds
+    counts = np.bincount(np.searchsorted(index, rows), minlength=index.size + 1)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return scipy.sparse.csr_array(
+        (signs, cols, indptr), shape=(index.size + 1, n_cols)
+    )
 
 
 def _incidence_matrices(
@@ -275,7 +268,7 @@ def _incidence_matrices(
     ``S[node, dev]`` stamps device currents into the residual
     (``F += S @ ids``); the Jacobian incidence is the stamp list of
     :func:`_jacobian_stamps`, from which the pattern, the compact-row
-    index, the scatter rounds and (on plans that multiply by it) the
+    index, the stamp CSR and (on plans that multiply by it) the
     dense ``M`` all derive; a sparse Schur plan never builds ``M``, which
     is ``nu² x 4·n_dev`` (~235 MB at array-slice scale).  A device whose
     drain and source share a row stamps nothing into either.  Both are
@@ -292,17 +285,6 @@ def _incidence_matrices(
         keep = (side < nu) & (d_idx != s_idx)
         s_mat[side[keep], dev[keep]] = sign
     return s_mat, _jacobian_stamps(d_idx, g_idx, s_idx, b_idx, nu)
-
-
-def _scatter_compact(rounds, g_stack: np.ndarray, n_rows: int) -> np.ndarray:
-    """Sparse Jacobian assembly: the scatter rounds into ``n_rows`` compact rows."""
-    jac = np.zeros((n_rows, g_stack.shape[1]))
-    for rp, cp, rm, cm in rounds:
-        if rp.size:
-            jac[rp] += g_stack[cp]
-        if rm.size:
-            jac[rm] -= g_stack[cm]
-    return jac
 
 
 def _expand_compact(jac: np.ndarray, index: np.ndarray, nu: int) -> np.ndarray:
@@ -924,7 +906,7 @@ class CompiledTransient:
         same step loop (slower, maximally transparent).
     assembly:
         ``"dense"`` — residual/Jacobian assembly through the incidence
-        matmuls; ``"sparse"`` — precomputed scatter-stamp rounds,
+        matmuls; ``"sparse"`` — one precomputed CSR stamp product,
         bit-equal to the dense pass but linear (not quadratic) in the
         node count; ``"auto"`` (default) — sparse above
         :data:`SPARSE_ASSEMBLY_THRESHOLD` unknowns, dense at or below.
@@ -1226,15 +1208,16 @@ class CompiledTransient:
 
         One stamp list (:func:`_incidence_matrices`) yields the current
         incidence ``_s_mat``, the compile-time pattern and its row-major
-        nonzeros ``_jac_index`` (the compact-row index), the scatter
-        rounds of a sparse plan (targeting compact rows) and, on plans
-        that multiply by it, the dense incidence ``_m_mat``.  ``peel``
-        runs the solver analysis (compile); a restore keeps the shipped
-        partition and rebinds it to the index.  Plans with a Schur
-        partition store their Jacobian as compact rows; a sparse one
-        scatters at every width and holds no ``_m_mat``.  Only the
-        residual keeps the dense matmul: it is linear in the node count
-        (nu rows), not worth trading the exact-op bit-equality for.
+        nonzeros ``_jac_index`` (the compact-row index), the stamp CSR
+        ``_jac_csr`` of a sparse plan (rows are compact rows) and, on
+        plans that multiply by it, the dense incidence ``_m_mat``.
+        ``peel`` runs the solver analysis (compile); a restore keeps the
+        shipped partition and rebinds it to the index.  Plans with a
+        Schur partition store their Jacobian as compact rows; a sparse
+        one multiplies by the CSR at every width and holds no
+        ``_m_mat``.  Only the residual keeps the dense matmul: it is
+        linear in the node count (nu rows), not worth trading the
+        exact-op bit-equality for.
         """
         nu = self.n_unknowns
         self._s_mat, stamps = _incidence_matrices(
@@ -1247,8 +1230,9 @@ class CompiledTransient:
         elif self._schur is not None:
             self._schur.bind(self._jac_index, nu)
         sparse = self.assembly == "sparse"
-        self._jac_rounds = (
-            _scatter_rounds(stamps, self._jac_index) if sparse else None
+        self._jac_csr = (
+            _stamp_csr(stamps, self._jac_index, 4 * self.n_devices)
+            if sparse else None
         )
         self._m_mat = None
         if not (sparse and self._schur is not None):
@@ -1724,9 +1708,8 @@ class CompiledTransient:
         sparse = self.assembly == "sparse"
         s_mat = self._s_mat
         m_mat = self._m_mat
-        jac_rounds = self._jac_rounds
+        jac_csr = self._jac_csr
         jac_index = self._jac_index
-        n_rows = jac_index.size + 1
         schur = self._schur
         n_sample_steps = 0
 
@@ -1784,17 +1767,14 @@ class CompiledTransient:
                 if schur is not None:
                     # Compact rows, the always-zero row last.
                     if sparse:
-                        jac = _scatter_compact(jac_rounds, g_stack, n_rows)
+                        jac = jac_csr @ g_stack
                     else:
-                        jac = np.zeros((n_rows, g_stack.shape[1]))
+                        jac = np.zeros((jac_index.size + 1, g_stack.shape[1]))
                         jac[:-1] = (m_mat @ g_stack)[jac_index]
                     jac += base_col
                 else:
                     if sparse and g_stack.shape[1] >= _SPARSE_MIN_BATCH:
-                        jac = _expand_compact(
-                            _scatter_compact(jac_rounds, g_stack, n_rows),
-                            jac_index, nu,
-                        )
+                        jac = _expand_compact(jac_csr @ g_stack, jac_index, nu)
                     else:
                         jac = (m_mat @ g_stack).reshape(nu, nu, -1)
                     jac += base_jac
@@ -1911,12 +1891,13 @@ class CompiledTransient:
     #: stacks (``C/h``, plus the dense base ``C/h + G`` on plans without
     #: a Schur partition) and the dense incidence ``_m_mat`` of plans that
     #: multiply by it (~235 MB at array-slice scale; a sparse Schur plan
-    #: has none).  Format 2 adds the compact-row index ``_jac_index`` and
-    #: the scatter rounds ``_jac_rounds`` that target it; the Schur
-    #: solver ships its partition and border sets and rebinds its
-    #: compact-row tables to the rebuilt index.  The plan audit's
-    #: P002-P005 replays are the proof the rebuild equals the original.
-    _DERIVED_STATE = ("_plan", "_s_mat", "_m_mat", "_jac_index", "_jac_rounds")
+    #: has none), plus the compact-row index ``_jac_index`` and the
+    #: sparse assembly's stamp CSR ``_jac_csr`` over those rows, so plan
+    #: bytes hold no scipy object.  The Schur solver ships its partition
+    #: and border sets and rebinds its compact-row tables to the rebuilt
+    #: index.  The plan audit's P002-P005 replays are the proof the
+    #: rebuild equals the original.
+    _DERIVED_STATE = ("_plan", "_s_mat", "_m_mat", "_jac_index", "_jac_csr")
 
     def __getstate__(self) -> Dict[str, object]:
         state = {

@@ -151,12 +151,15 @@ DIAGNOSTIC_CODES: Dict[str, Tuple[str, str]] = {
         "free at least one node from its voltage source",
     ),
     "P001": (
-        "scatter round with a target-row collision",
-        "rebuild the rounds with _scatter_rounds; do not edit them by hand",
+        "retired: scatter round with a target-row collision (sparse plans "
+        "no longer have rounds; never emitted)",
+        "kept registered because codes are append-only",
     ),
     "P002": (
-        "scatter rounds do not replay the dense k-ascending accumulation",
-        "rounds must apply each row's stamps in ascending column order",
+        "stamp CSR does not hold each compact row's replayed ±1 stamps in "
+        "ascending column order",
+        "recompile; csr @ g_stack must add each row's stamps in the dense "
+        "matmul's order",
     ),
     "P003": (
         "Schur border/interior partition is not bordered-block-diagonal",

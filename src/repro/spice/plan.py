@@ -1,7 +1,7 @@
 """Serializable compiled plans and the content-addressed plan cache.
 
 ``CompiledTransient`` construction is pure setup — node partitioning,
-terminal-gather maps, scatter rounds, the Schur peel, hoisted per-step
+terminal-gather maps, the stamp CSR, the Schur peel, hoisted per-step
 tables — repeated identically by every spawn-pool worker, every repeated
 CLI invocation and (per the ROADMAP) every future service request.  This
 module makes that setup a build artifact:
@@ -14,10 +14,10 @@ module makes that setup a build artifact:
   the fresh compile: the only state not shipped verbatim are the
   derived tables (``CompiledTransient._DERIVED_STATE``: the per-step
   ``_plan``, the incidence tables, the compact-row index and the
-  scatter rounds, plus the Schur solver's compact-row gathers) that
-  are pure numpy functions of the shipped state — the plan audit's
-  P002-P005 replays are exactly the proof that the rebuild equals the
-  original.
+  sparse assembly's stamp CSR, plus the Schur solver's compact-row
+  gathers) that are pure functions of the shipped state, so plan bytes
+  hold no scipy object — the plan audit's P002-P005 replays are
+  exactly the proof that the rebuild equals the original.
 * :func:`plan_fingerprint` — a structural content address over
   ``(netlist structure, grid, probes, compile options, plan-format
   version)``, the compile-side analogue of the run journal's shard-plan

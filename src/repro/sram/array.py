@@ -22,7 +22,7 @@ This module builds that slice:
   that resolves the muxed differential in :meth:`ArraySlice.resolve_batch`.
 
 The whole slice compiles through :class:`~repro.spice.compile
-.CompiledTransient`: sparse scatter-stamp assembly (bit-equal to the
+.CompiledTransient`: sparse CSR stamp assembly (bit-equal to the
 dense matmuls) and the generalized per-column Schur peel — every cell
 pair is an interior block, the border is the set of all bitlines, and
 the mux data lines fall out as their own interior singletons once the
@@ -296,7 +296,7 @@ class ArraySlice:
         unknowns (``n_cols * (2 * n_leakers + 4) + 2`` of them), so the
         compiled path sees exactly the leakage and mux topology the
         scalar slice simulates.  The Jacobian assembles through the
-        sparse scatter-stamp pass (bit-equal to ``assembly="dense"``)
+        sparse CSR stamp product (bit-equal to ``assembly="dense"``)
         and solves through the per-column Schur peel: cell pairs as
         interior blocks, all bitlines as the border, the data lines as
         interior singletons.  ``solver="blocked"`` forces the generic

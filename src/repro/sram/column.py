@@ -258,7 +258,7 @@ class ReadColumn:
         (``4 + 2 * n_leakers`` nodes), so the compiled path sees exactly
         the leakage topology the scalar column simulates.  Above the
         compiler's node-count threshold the Jacobian assembles through
-        the sparse scatter-stamp pass (bit-equal to the dense matmuls,
+        the sparse CSR stamp product (bit-equal to the dense matmuls,
         which stay selectable via ``assembly="dense"``), and the solves
         run through the batched Schur complement the compiler derives
         from the column's bordered-block structure — this is what makes

@@ -433,6 +433,53 @@ class TestCompactJacobian:
             assert ct.run(ic=ic, n=n, delta_vth=dvth).converged.shape == (n,)
 
 
+def _sparse_plan(name):
+    """Every kind of sparse plan: Schur (column, array slices) and the
+    small benches forced sparse (no Schur partition)."""
+    from repro.sram.array import ArrayConfig, ArraySlice
+    from repro.sram.benches import bench_compiled
+
+    if name == "array-2x8":
+        return ArraySlice(config=ArrayConfig(n_cols=2, n_leakers=7)).compiled(n_steps=120)
+    if name == "array-4x16":
+        return ArraySlice().compiled(n_steps=120)
+    return bench_compiled(name, assembly="sparse")
+
+
+class TestStampCsrOrder:
+    """``csr @ g`` adds each compact row's ±1 stamps in ascending column
+    order, the dense matmul's k order, which the sparse == dense pins
+    rest on.  Pinned bit for bit against an in-order accumulation of the
+    audit's independent stamp replay, so it holds whatever BLAS does and
+    catches any change scipy makes to its CSR x dense summation order."""
+
+    @pytest.mark.parametrize(
+        "name", ["column", "array-2x8", "array-4x16", "6t", "latch", "write"]
+    )
+    def test_product_adds_stamps_in_replay_order(self, name):
+        from repro.spice.audit import _replay_stamps
+
+        ct = _sparse_plan(name)
+        assert ct.assembly == "sparse" and ct._jac_csr is not None
+        replay = _replay_stamps(ct)
+        rows = np.searchsorted(ct._jac_index, list(replay))
+        rng = np.random.default_rng(17)
+        n_cols = ct._jac_csr.shape[1]
+        for width in (1, 3, 16, 64):
+            # Conductance-scale values over six decades, so a row added
+            # in another order rounds differently at the wider widths.
+            g = rng.standard_normal((n_cols, width)) * 10.0 ** rng.uniform(
+                -9, -3, size=(n_cols, width)
+            )
+            want = np.zeros((ct._jac_index.size + 1, width))
+            for row, row_stamps in zip(rows, replay.values()):
+                for col, sign in row_stamps:
+                    want[row] += sign * g[col]
+            got = ct._jac_csr @ g
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 class TestSolverChoice:
     """The solver= knob: explicit policy over the Schur-vs-blocked pick."""
 

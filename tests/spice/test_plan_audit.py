@@ -2,7 +2,7 @@
 
 The mutation tests are the auditor's reason to exist: each one injects a
 defect class a corrupted cache entry or a hand-edited plan could carry
-(colliding scatter round, reordered rounds, a broken Schur partition,
+(stamp CSR entries out of order or misplaced, a broken Schur partition,
 stamps that disagree with the wiring, stale hoisted tables, retirement
 that can clobber a metric) and asserts the auditor reports the exact
 code.
@@ -10,10 +10,12 @@ code.
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from repro.errors import PlanAuditError, SimulationError
 from repro.spice.audit import assert_plan_clean, audit_plan
 from repro.spice.compile import CompiledTransient, RetirePolicy, transient_grid
+from repro.spice.diagnostics import DIAGNOSTIC_CODES
 from repro.spice.elements import Capacitor, Mosfet, Resistor, VoltageSource
 from repro.spice.mosfet import nmos_45nm, pmos_45nm
 from repro.spice.netlist import Circuit
@@ -54,7 +56,7 @@ class TestCleanMatrix:
     def test_drain_source_short_audits_clean(self, assembly):
         """A device whose drain and source share an unknown node: its
         +1/-1 stamps cancel.  P004 replays the per-device stamping loop
-        and P002 the round order, so a clean audit proves the compiler
+        and P002 the stamp CSR rows, so a clean audit proves the compiler
         cancels the pair exactly as that loop accumulates it."""
         c = Circuit("shorted")
         c.add(VoltageSource("v_vdd", "vdd", "0", dc(1.0)))
@@ -74,39 +76,141 @@ class TestCleanMatrix:
 
     def test_assert_plan_clean_raises_typed(self):
         ct = bench_compiled("column", assembly="sparse")
-        ct._jac_rounds = None
+        ct._jac_csr = None
         with pytest.raises(PlanAuditError) as exc:
             assert_plan_clean(ct)
         assert exc.value.code == "P002"
         assert isinstance(exc.value, SimulationError)  # family compatibility
 
 
-class TestScatterRoundMutations:
-    def test_p001_colliding_round(self):
-        """Merging two rounds makes rows repeat inside one round."""
-        ct = bench_compiled("column", assembly="sparse")
-        r0, r1 = ct._jac_rounds[0], ct._jac_rounds[1]
-        merged = tuple(np.concatenate([a, b]) for a, b in zip(r0, r1))
-        ct._jac_rounds = [merged] + list(ct._jac_rounds[2:])
-        codes = _codes(_errors(audit_plan(ct)))
-        assert "P001" in codes
+def _edited_csr(ct, indices=None, data=None, indptr=None):
+    """``ct``'s stamp CSR with some stored arrays replaced.
 
-    def test_p002_reordered_rounds(self):
-        """Reversed rounds apply stamps in descending column order."""
-        ct = bench_compiled("column", assembly="sparse")
-        ct._jac_rounds = list(reversed(ct._jac_rounds))
-        codes = _codes(_errors(audit_plan(ct)))
-        assert codes == ["P002"]
+    Builds a new matrix: memory-tier cache templates share the CSR
+    between plan instances, so editing it in place would corrupt every
+    later restore of the same plan.
+    """
+    csr = ct._jac_csr
+    return scipy.sparse.csr_array(
+        (
+            np.array(csr.data if data is None else data),
+            np.array(csr.indices if indices is None else indices),
+            np.array(csr.indptr if indptr is None else indptr),
+        ),
+        shape=csr.shape,
+    )
 
-    def test_p002_sparse_without_rounds(self):
-        ct = bench_compiled("column", assembly="sparse")
-        ct._jac_rounds = None
+
+#: Sparse plans of every layout: Schur-peeled (the column, the 2-column
+#: slice) and forced sparse without a Schur partition (the latch).
+SPARSE_PLANS = ["column", "array", "latch"]
+
+
+class TestStampCsrMutations:
+    @staticmethod
+    def _plan(name="column"):
+        ct = bench_compiled(name, assembly="sparse")
+        assert ct._jac_csr is not None
+        return ct
+
+    @staticmethod
+    def _first_row_with(ct, n_entries):
+        counts = np.diff(ct._jac_csr.indptr)[:-1]  # the zero row excluded
+        return int(np.flatnonzero(counts >= n_entries)[0])
+
+    @pytest.mark.parametrize("name", SPARSE_PLANS)
+    def test_p002_swapped_columns_in_a_row(self, name):
+        """Same stamps, but the product adds two of them out of order."""
+        ct = self._plan(name)
+        lo = int(ct._jac_csr.indptr[self._first_row_with(ct, 2)])
+        order = np.arange(ct._jac_csr.nnz)
+        order[[lo, lo + 1]] = order[[lo + 1, lo]]
+        ct._jac_csr = _edited_csr(
+            ct, indices=ct._jac_csr.indices[order], data=ct._jac_csr.data[order]
+        )
+        diags = _errors(audit_plan(ct))
+        assert _codes(diags) == ["P002"]
+        assert any("ascending column order" in d.message for d in diags)
+
+    @pytest.mark.parametrize("name", SPARSE_PLANS)
+    def test_p002_entry_moved_to_another_row(self, name):
+        """A row's last stamp becomes the next row's first."""
+        ct = self._plan(name)
+        r = self._first_row_with(ct, 1)
+        indptr = np.array(ct._jac_csr.indptr)
+        indptr[r + 1] -= 1
+        ct._jac_csr = _edited_csr(ct, indptr=indptr)
         assert _codes(_errors(audit_plan(ct))) == ["P002"]
 
-    def test_p002_dense_with_rounds(self):
+    @pytest.mark.parametrize("name", SPARSE_PLANS)
+    def test_p002_duplicated_entry(self, name):
+        """One stamp stored twice: the product would add it twice."""
+        ct = self._plan(name)
+        r = self._first_row_with(ct, 1)
+        lo = int(ct._jac_csr.indptr[r])
+        indptr = np.array(ct._jac_csr.indptr)
+        indptr[r + 1:] += 1
+        ct._jac_csr = _edited_csr(
+            ct,
+            indices=np.insert(ct._jac_csr.indices, lo, ct._jac_csr.indices[lo]),
+            data=np.insert(ct._jac_csr.data, lo, ct._jac_csr.data[lo]),
+            indptr=indptr,
+        )
+        assert _codes(_errors(audit_plan(ct))) == ["P002"]
+
+    @pytest.mark.parametrize("name", SPARSE_PLANS)
+    def test_p002_nonempty_zero_row(self, name):
+        """The trailing always-zero row must stay empty."""
+        ct = self._plan(name)
+        indptr = np.array(ct._jac_csr.indptr)
+        indptr[-1] += 1
+        ct._jac_csr = _edited_csr(
+            ct,
+            indices=np.append(ct._jac_csr.indices, 0),
+            data=np.append(ct._jac_csr.data, 1.0),
+            indptr=indptr,
+        )
+        diags = _errors(audit_plan(ct))
+        assert _codes(diags) == ["P002"]
+        assert any(d.subject == "zero row" for d in diags)
+
+    @pytest.mark.parametrize("name", SPARSE_PLANS)
+    def test_p002_flipped_sign(self, name):
+        """Right entry, right order, wrong sign."""
+        ct = self._plan(name)
+        data = np.array(ct._jac_csr.data)
+        data[0] = -data[0]
+        ct._jac_csr = _edited_csr(ct, data=data)
+        assert _codes(_errors(audit_plan(ct))) == ["P002"]
+
+    @pytest.mark.parametrize("defect", ["csc", "zero row dropped"])
+    def test_p002_wrong_container(self, defect):
+        """The product's row order needs a CSR of exactly the compact
+        rows plus the zero row."""
+        ct = self._plan()
+        csr = ct._jac_csr
+        ct._jac_csr = (
+            scipy.sparse.csc_array(csr) if defect == "csc" else csr[:-1]
+        )
+        diags = _errors(audit_plan(ct))
+        assert _codes(diags) == ["P002"]
+        assert any("not a CSR matrix of shape" in d.message for d in diags)
+
+    def test_p002_sparse_without_csr(self):
+        ct = bench_compiled("column", assembly="sparse")
+        ct._jac_csr = None
+        assert _codes(_errors(audit_plan(ct))) == ["P002"]
+
+    def test_p002_dense_with_csr(self):
         ct = bench_compiled("column", assembly="dense")
-        ct._jac_rounds = []
+        ct._jac_csr = bench_compiled("column", assembly="sparse")._jac_csr
         assert _codes(_errors(audit_plan(ct))) == ["P002"]
+
+    def test_p001_retired_but_registered(self):
+        """Codes are append-only: P001 (scatter-round collision) keeps its
+        registry entry, marked retired, now that no plan has rounds."""
+        meaning, _ = DIAGNOSTIC_CODES["P001"]
+        assert meaning.startswith("retired")
 
 
 class TestSchurMutations:
@@ -184,20 +288,6 @@ class TestCompactTableMutations:
         ct = bench_compiled("array", assembly="sparse", solver="schur")
         assert ct._m_mat is None
         return ct
-
-    def test_p002_compact_round_retargeted(self):
-        ct = self._schur_plan()
-        rounds = list(ct._jac_rounds)
-        rp, cp, rm, cm = rounds[-1]
-        unused = np.setdiff1d(np.arange(ct._jac_index.size), np.r_[rp, rm])
-        # Still collision-free, but one stamp lands on the wrong entry.
-        if rp.size:
-            rp = np.r_[unused[:1], rp[1:]]
-        else:
-            rm = np.r_[unused[:1], rm[1:]]
-        rounds[-1] = (rp, cp, rm, cm)
-        ct._jac_rounds = rounds
-        assert _codes(_errors(audit_plan(ct))) == ["P002"]
 
     def test_p004_compact_index_missing_stamped_entry(self):
         ct = self._schur_plan()

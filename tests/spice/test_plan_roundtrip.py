@@ -114,6 +114,24 @@ class TestRoundTripMatrix:
         _assert_results_bit_equal(_run_bench(ct, name), _run_bench(restored, name))
 
 
+class TestStampCsrRestore:
+    """The sparse assembly's stamp CSR is derived state: plan bytes hold
+    no scipy object, and restore rebuilds the same matrix."""
+
+    @pytest.mark.parametrize("name", BENCH_NAMES)
+    def test_csr_rebuilt_not_shipped(self, name):
+        ct = bench_compiled(name, assembly="sparse")
+        blob = pickle.dumps(ct)
+        assert b"scipy" not in blob
+        restored = pickle.loads(blob)
+        want, got = ct._jac_csr, restored._jac_csr
+        assert got is not want
+        assert (got.format, got.shape) == (want.format, want.shape)
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestProductionSizeRestore:
     """The benchmark's plan: the 4x16 array slice at 120 steps, whose
     sparse Schur layout has no dense incidence to rebuild."""

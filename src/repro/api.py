@@ -35,7 +35,7 @@ The shape::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -534,9 +534,3 @@ def estimate(request: EstimateRequest, runner: Any = None) -> EstimateResult:
     ``shard_timeout`` ask for one, mirroring the CLI.
     """
     return prepare(request).run(runner=runner)
-
-
-def request_with(request: EstimateRequest, **changes: Any) -> EstimateRequest:
-    """A copy of ``request`` with fields replaced (convenience for
-    sweeps and load-test scenario generators)."""
-    return replace(request, **changes)

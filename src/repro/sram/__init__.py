@@ -9,10 +9,8 @@
 * :mod:`repro.sram.statics` — static (DC) margins: hold/read SNM via
   butterfly curves.
 * :mod:`repro.sram.batched` — vectorised fixed-topology 6T transient
-  engine used for golden Monte Carlo and large sampling budgets.
-* :mod:`repro.sram.kernel` — the fused fast integrator kernel behind
-  ``Batched6T(kernel="fast")``: stacked device evaluation, closed-form
-  batched 4x4 solves, sample retirement.
+  engine used for golden Monte Carlo and large sampling budgets; its
+  read and write plans are compiled by :mod:`repro.spice.compile`.
 * :mod:`repro.sram.array` — multi-column array slice (shared-bitline
   mux + one sense amp) compiled through the batched circuit compiler
   with the per-column Schur peel.

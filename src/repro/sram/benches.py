@@ -7,11 +7,13 @@ bench automatically widens the lint/audit surface.
 
 Registry names (matching the smoke-benchmark sections):
 
-* ``6t``     — the fused 6T read kernel (4 unknowns);
+* ``6t``     — :class:`~repro.sram.batched.Batched6T`'s read plan
+  (4 unknowns);
 * ``latch``  — the sense-amp latch (3 unknowns);
 * ``column`` — a read column with leakers (``4 + 2 * n_leakers``
   unknowns, sparse assembly above the threshold);
-* ``write``  — the write-trip testbench (4 unknowns);
+* ``write``  — :class:`~repro.sram.batched.Batched6T`'s write plan, the
+  cell plus write drivers (4 unknowns);
 * ``array``  — a multi-column array slice
   (``n_cols * (2 * n_leakers + 4) + 2`` unknowns, Schur-peeled).
 
@@ -51,11 +53,11 @@ def bench_compiled(
     """
     # Imports are local: the registry must not drag every testbench into
     # ``import repro.sram``.
-    if name == "6t":
+    if name in ("6t", "write"):
         from repro.sram.batched import Batched6T
 
-        # Always the fast engine's plan: the reference engine has none.
-        ct = Batched6T().compiled("read")
+        engine = Batched6T(n_steps=n_steps, kernel=kernel)
+        ct = engine.compiled("read" if name == "6t" else "write")
     elif name == "latch":
         from repro.sram.senseamp import SenseAmp
 
@@ -66,10 +68,6 @@ def bench_compiled(
         ct = ReadColumn(config=ColumnConfig(n_leakers=n_leakers)).compiled(
             n_steps=n_steps, kernel=kernel, assembly=assembly
         )
-    elif name == "write":
-        from repro.sram.testbench import WriteTestbench
-
-        ct = WriteTestbench().compiled(n_steps=n_steps, kernel=kernel)
     elif name == "array":
         from repro.sram.array import ArrayConfig, ArraySlice
 

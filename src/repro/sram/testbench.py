@@ -20,15 +20,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.spice.compile import (
-    CompiledTransient,
-    CrossProbe,
-    PeakProbe,
-    transient_grid,
-)
 from repro.spice.elements import Capacitor, Resistor, VoltageSource
 from repro.spice.netlist import Circuit
-from repro.spice.plan import compile_cached
 from repro.spice.sources import dc, pulse
 from repro.spice.transient import TransientOptions, TransientResult, run_transient
 from repro.sram.cell import CellDesign, build_cell, cell_device_names
@@ -250,76 +243,3 @@ class WriteTestbench(_CellBench):
     def metric(self, u: Optional[np.ndarray] = None) -> float:
         """Write trip time in seconds (the sampler-facing scalar)."""
         return self.trip_sample(u).value
-
-    # ------------------------------------------------------------------
-    # Compiled batched path
-    # ------------------------------------------------------------------
-
-    def compiled(self, n_steps: int = 400, kernel: str = "fast") -> CompiledTransient:
-        """This bench's circuit compiled into a batched kernel (cached).
-
-        The same netlist the scalar path integrates adaptively — write
-        drivers included — on the compiler's fixed backward-Euler grid,
-        with the trip crossing and the QB peak compiled in as probes.
-        """
-        key = (int(n_steps), kernel)
-        cache = getattr(self, "_compiled", None)
-        if cache is None:
-            cache = self._compiled = {}
-        ct = cache.get(key)
-        if ct is None:
-            t = self.timing
-            t_wl_mid = t.wl_delay + 0.5 * t.wl_rise
-            ct = compile_cached(
-                self.circuit,
-                grid=transient_grid(
-                    t.t_stop,
-                    breakpoints=self.circuit["v_wl"].shape.breakpoints(),
-                    n_steps=n_steps,
-                ),
-                probes=(
-                    CrossProbe("trip", {"qb": 1.0}, offset=-0.5 * self.vdd),
-                    PeakProbe("qb_peak", "qb", t_from=t_wl_mid),
-                ),
-                kernel=kernel,
-            )
-            cache[key] = ct
-        return ct
-
-    def trip_times_batch(
-        self,
-        u_batch: np.ndarray,
-        n_steps: int = 400,
-        kernel: str = "fast",
-        penalty_per_volt: float = 20e-9,
-    ) -> np.ndarray:
-        """Batched :meth:`metric` over u-space rows on the compiled bench.
-
-        Applies the same penalty extension as the scalar
-        :func:`repro.sram.metrics.write_trip_time`: a cell that never
-        trips reports ``(window_end - t_wl) + (vdd/2 - max(qb)) *
-        penalty_per_volt``, continuous with the measured branch.
-        """
-        u_batch = np.atleast_2d(np.asarray(u_batch, dtype=float))
-        n = u_batch.shape[0]
-        names = cell_device_names()
-        dvth = self.space.vth_matrix(u_batch, names)
-        bmult = self.space.beta_matrix(u_batch, names)
-        ct = self.compiled(n_steps=n_steps, kernel=kernel)
-        res = ct.run(
-            ic=self._initial_conditions(),
-            n=n,
-            delta_vth={nm: dvth[:, j] for j, nm in enumerate(names)},
-            beta_mult={nm: bmult[:, j] for j, nm in enumerate(names)},
-        )
-        self.n_simulations += n
-
-        t = self.timing
-        t_wl = t.wl_delay + 0.5 * t.wl_rise
-        trip = res.cross["trip"]
-        found = ~np.isnan(trip)
-        metric = np.empty(n)
-        metric[found] = trip[found] - t_wl
-        shortfall = 0.5 * self.vdd - res.peak["qb_peak"][~found]
-        metric[~found] = (t.t_stop - t_wl) + shortfall * penalty_per_volt
-        return metric

@@ -193,8 +193,8 @@ def _case(workload, spec, method="mc", budget=32, compiles=True, **knobs):
 #: shortfall penalty.
 PREPARE_CASES = [
     _case("read", 2.47e-8, method="gis", budget=300, n_steps=24),
-    _case("read", 2.47e-8, method="gis", budget=300, compiles=False,
-          n_steps=24, kernel="reference"),
+    _case("read", 2.47e-8, method="gis", budget=300, n_steps=24,
+          kernel="reference"),
     _case("write", 4.0e-11, n_steps=60),
     _case("disturb", 0.5, n_steps=24),
     _case("sa-offset", 0.05, budget=16, n_steps=60, n_bisect=6),

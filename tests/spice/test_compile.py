@@ -1,11 +1,13 @@
 """Batched circuit compiler: solveN, compilation analysis, kernel parity.
 
 The compiler's regression anchor is the 6T engine: ``tests/sram/test_kernel.py``
-pins the compiled fast path against ``Batched6T``'s reference integrator at
-~1e-9.  This module covers the compiler-specific surface: the batched
-solver family against LAPACK, the netlist analysis (rails, C/G assembly,
-rejection of unsupported elements), probe plumbing, and the compiled
-reference kernel as the in-family cross-check on a non-6T circuit.
+pins ``Batched6T``'s compiled fast path against its compiled reference
+kernel at ~1e-9, and the reference kernel against recorded metrics of the
+hand-written loop it replaced.  This module covers the compiler-specific
+surface: the batched solver family against LAPACK, the netlist analysis
+(rails, C/G assembly, rejection of unsupported elements), probe plumbing,
+and the compiled reference kernel as the in-family cross-check on a
+non-6T circuit.
 """
 
 import numpy as np
@@ -114,14 +116,52 @@ class TestCompilationAnalysis:
         assert ct.device_names == ["m1"]
 
     def test_compiled_cmat_matches_engine_assembly(self):
-        """The compiled 6T capacitance matrix must equal the hand-built
-        one in Batched6T — same values from the same model caps."""
+        """The compiled 6T capacitance matrix and wordline coupling must
+        equal a hand assembly from the same model caps and the cell
+        wiring (rail couplings land on the diagonal; the moving wordline
+        also injects ``C * dV_wl/dt``)."""
         eng = Batched6T(n_steps=120)
         ct = eng.compiled("read")
-        np.testing.assert_array_equal(ct.cmat, eng._cmat)
-        # WL coupling column agrees too.
+        d = eng.design
+        nodes = ("q", "qb", "bl", "blb")
+        assert tuple(ct.node_names) == nodes
+        # (model, width, (drain, gate, source, bulk)) in cell device order.
+        wiring = (
+            (d.pmos, d.w_pu, ("q", "qb", "vdd", "vdd")),
+            (d.nmos, d.w_pd, ("q", "qb", "gnd", "gnd")),
+            (d.nmos, d.w_pg, ("bl", "wl", "q", "gnd")),
+            (d.pmos, d.w_pu, ("qb", "q", "vdd", "vdd")),
+            (d.nmos, d.w_pd, ("qb", "q", "gnd", "gnd")),
+            (d.nmos, d.w_pg, ("blb", "wl", "qb", "gnd")),
+        )
+        cmat = np.zeros((4, 4))
+        wl_coupling = np.zeros(4)
+
+        def add(na, nb, c):
+            if na in nodes and nb in nodes:
+                a, b = nodes.index(na), nodes.index(nb)
+                cmat[a, a] += c
+                cmat[b, b] += c
+                cmat[a, b] -= c
+                cmat[b, a] -= c
+            elif na in nodes or nb in nodes:
+                node, rail = (na, nb) if na in nodes else (nb, na)
+                cmat[nodes.index(node), nodes.index(node)] += c
+                if rail == "wl":
+                    wl_coupling[nodes.index(node)] += c
+
+        for model, w, (nd, ng, ns, nb) in wiring:
+            cgs, cgd, cgb, cdb, csb = model.capacitances(w, d.l)
+            add(ng, ns, cgs)
+            add(ng, nd, cgd)
+            add(ng, nb, cgb)
+            add(nd, nb, cdb)
+            add(ns, nb, csb)
+        cmat[2, 2] += eng.cbl
+        cmat[3, 3] += eng.cbl
+        np.testing.assert_array_equal(ct.cmat, cmat)
         wl_col = ct.rail_names.index("wl")
-        np.testing.assert_array_equal(ct._cap_rail[:, wl_col], eng._wl_coupling)
+        np.testing.assert_array_equal(ct._cap_rail[:, wl_col], wl_coupling)
 
     def test_unsupported_element_rejected(self):
         c = _rc_circuit()

@@ -345,7 +345,7 @@ class TestRetirementAudit:
     def test_p006_peak_window_after_retirement(self):
         ct = bench_compiled("write")
         t_from = float(ct._peak_probes[0].t_from)
-        retire = RetirePolicy("trip", after=t_from * 0.5)
+        retire = RetirePolicy("cross", after=t_from * 0.5)
         diags = _errors(audit_plan(ct, retire=retire))
         assert "P006" in _codes(diags)
 
@@ -358,7 +358,7 @@ class TestRetirementAudit:
     def test_write_bench_retirement_is_legal_after_peak_opens(self):
         ct = bench_compiled("write")
         t_from = float(ct._peak_probes[0].t_from)
-        retire = RetirePolicy("trip", after=t_from * 1.5)
+        retire = RetirePolicy("cross", after=t_from * 1.5)
         assert _errors(audit_plan(ct, retire=retire)) == []
 
 

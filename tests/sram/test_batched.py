@@ -87,6 +87,13 @@ class TestValidation:
         with pytest.raises(SimulationError):
             engine.read(np.zeros((2, 6)), np.ones((3, 6)))
 
+    @pytest.mark.parametrize("kernel", ["fast", "reference"])
+    @pytest.mark.parametrize("mode", ["read", "write"])
+    def test_empty_batch_rejected(self, kernel, mode):
+        eng = Batched6T(n_steps=60, kernel=kernel)
+        with pytest.raises(SimulationError, match="batch size"):
+            getattr(eng, mode)(np.zeros((0, 6)))
+
     def test_beta_variation_changes_metric(self, engine):
         base = engine.read(np.zeros((1, 6))).metric[0]
         bmult = np.ones((1, 6))

@@ -17,7 +17,6 @@ import pytest
 
 from repro.sram.column import ColumnConfig, ReadColumn
 from repro.sram.senseamp import SA_DEVICE_ORDER, SenseAmp
-from repro.sram.testbench import WriteTestbench
 
 #: Compiled-vs-adaptive-integrator agreement budget (cross-validation class).
 XVAL_REL = 0.25
@@ -219,32 +218,3 @@ class TestReadColumnBatch:
         short = column.differential_at_wl_fall_batch(dvth, n_steps=200)[0]
         long_ = long_col.differential_at_wl_fall_batch(dvth, n_steps=200)[0]
         assert long_ < short
-
-
-class TestWriteTestbenchBatch:
-    @pytest.fixture(scope="class")
-    def bench(self):
-        return WriteTestbench()
-
-    def test_fast_vs_reference_ladder(self, bench):
-        rng = np.random.default_rng(8)
-        u = rng.normal(0.0, 1.0, size=(16, 6))
-        m_f = bench.trip_times_batch(u, n_steps=240, kernel="fast")
-        m_r = bench.trip_times_batch(u, n_steps=240, kernel="reference")
-        np.testing.assert_allclose(m_f, m_r, rtol=1e-9)
-
-    def test_compiled_vs_scalar(self, bench):
-        # Backward Euler is first order: the ~25 ps trip needs a dense
-        # grid to meet the cross-validation budget against the adaptive
-        # engine (the same reason test_cross_validation runs the 6T
-        # engine at n_steps=900).
-        rng = np.random.default_rng(9)
-        u = rng.normal(0.0, 1.2, size=(4, 6))
-        batch = bench.trip_times_batch(u, n_steps=1600)
-        for i in range(4):
-            assert batch[i] == pytest.approx(bench.metric(u[i]), rel=0.06)
-
-    def test_simulation_counter_billed(self, bench):
-        before = bench.n_simulations
-        bench.trip_times_batch(np.zeros((3, 6)))
-        assert bench.n_simulations == before + 3

@@ -1,11 +1,11 @@
-"""Fused fast kernel: equivalence with the reference path, solve4, retirement."""
+"""6T kernels: fast vs reference, the recorded hand-written loop, solve4, retirement."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.sram.batched import Batched6T
-from repro.sram.kernel import solve4
+from repro.spice.compile import solve4
 
 N_STEPS = 300
 
@@ -115,17 +115,67 @@ class TestFastVsReference:
         r_fast = engines["fast"].read(dvth, bmult, dv_spec=dv)
         np.testing.assert_allclose(r_fast.metric, r_ref.metric, rtol=1e-9)
 
-    def test_simulation_counters_match(self):
+    @pytest.mark.parametrize("mode", ["read", "write"])
+    def test_simulation_counters_match(self, mode):
         ref = Batched6T(n_steps=N_STEPS, kernel="reference")
         fast = Batched6T(n_steps=N_STEPS, kernel="fast")
         dvth = np.zeros((5, 6))
-        ref.read(dvth)
-        fast.read(dvth)
+        getattr(ref, mode)(dvth)
+        getattr(fast, mode)(dvth)
         assert ref.n_simulations == fast.n_simulations == 5
 
     def test_invalid_kernel_rejected(self):
         with pytest.raises(SimulationError):
             Batched6T(kernel="turbo")
+
+
+#: ``Batched6T(n_steps=300, kernel="reference")`` metrics (seconds, as
+#: ``float.hex``) from the hand-written per-device Newton loop.
+HAND_WRITTEN_METRICS = {
+    "read": (
+        "0x1.1d6cc7a81ca10p-35", "0x1.10a31d90083c0p-35", "0x1.0d7a151821fb8p-35",
+        "0x1.dce32e47bc1f0p-36", "0x1.d0a9d269ad980p-36", "0x1.088e9d657b020p-35",
+        "0x1.1046ed02c69a8p-35", "0x1.369991cd39c50p-35", "0x1.36ab6291d9020p-35",
+        "0x1.1f4591a8f8a78p-35", "0x1.107abae6d6180p-35", "0x1.0b30cae4e8ae8p-35",
+        "0x1.3b9215a820538p-35", "0x1.15934d287a698p-35", "0x1.0ecfc9d2ff868p-35",
+        "0x1.0db36fd6c8b38p-35",
+    ),
+    "write": (
+        "0x1.df22eeff341d0p-36", "0x1.df7d259bfe370p-36", "0x1.e1624ee4630b0p-36",
+        "0x1.da00f878ec360p-36", "0x1.ce9b80952ade0p-36", "0x1.c934b3b11b580p-36",
+        "0x1.cf93976f341c0p-36", "0x1.e0395dd347270p-36", "0x1.ddc520f184ee0p-36",
+        "0x1.e67b7331de5f0p-36", "0x1.cd705fb9dc620p-36", "0x1.b697e345c08d0p-36",
+        "0x1.fbba8457beb40p-36", "0x1.d63f2920c2d80p-36", "0x1.e0d28c09cd2f0p-36",
+        "0x1.f81e5a716fec0p-36",
+    ),
+}
+
+
+class TestHandWrittenLoopRecord:
+    """The compiled reference kernel reproduces the loop it replaced.
+
+    Until commit 65505e1, ``Batched6T(kernel="reference")`` integrated
+    through its own per-device Newton loop; it now runs the compiler's
+    reference path.  :data:`HAND_WRITTEN_METRICS` was recorded from that
+    loop with::
+
+        dvth, bmult = nominal_batch(np.random.default_rng(7), n=16)
+        for mode in ("read", "write"):
+            engine = Batched6T(n_steps=300, kernel="reference")
+            result = getattr(engine, mode)(dvth, bmult)
+            print(mode, [float(x).hex() for x in result.metric])
+
+    (every sample converged and found its crossing).
+    """
+
+    @pytest.mark.parametrize("mode", ["read", "write"])
+    def test_reference_kernel_matches_record(self, engines, mode):
+        dvth, bmult = nominal_batch(np.random.default_rng(7), n=16)
+        r = getattr(engines["reference"], mode)(dvth, bmult)
+        assert r.converged.all()
+        assert r.event_found.all()
+        expected = np.array([float.fromhex(h) for h in HAND_WRITTEN_METRICS[mode]])
+        np.testing.assert_allclose(r.metric, expected, rtol=1e-12, atol=0.0)
 
 
 class TestRetirement:

@@ -122,5 +122,6 @@ class TestScoping:
     def test_strict_dirs(self):
         assert _is_strict(Path("src/repro/spice/compile.py"))
         assert _is_strict(Path("src/repro/engine/sharding.py"))
-        assert not _is_strict(Path("src/repro/sram/column.py"))
+        assert _is_strict(Path("src/repro/sram/column.py"))
+        assert not _is_strict(Path("src/repro/highsigma/gis.py"))
         assert not _is_strict(Path("src/repro/cli.py"))

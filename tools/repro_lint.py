@@ -15,11 +15,13 @@ finding is reported.  Codes:
   (``default_rng``, ``SeedSequence``, ``Generator``, ...) are the
   sanctioned API and stay allowed.
 * **R002** — iteration over an unordered ``set``/``frozenset``
-  expression in ``engine/`` or ``spice/`` (stamp and merge paths).
-  Set iteration order is salted per process; wrap in ``sorted(...)``.
-* **R003** — bare ``assert`` in ``engine/`` or ``spice/``.  Asserts
-  vanish under ``python -O`` and carry no diagnostic code; raise a
-  typed :mod:`repro.errors` exception instead.
+  expression in ``engine/``, ``spice/`` or ``sram/`` (stamp and merge
+  paths, and the netlists whose element order fixes the compiled device
+  order).  Set iteration order is salted per process; wrap in
+  ``sorted(...)``.
+* **R003** — bare ``assert`` in ``engine/``, ``spice/`` or ``sram/``.
+  Asserts vanish under ``python -O`` and carry no diagnostic code; raise
+  a typed :mod:`repro.errors` exception instead.
 * **R004** — ``raise`` of a builtin exception (``ValueError``,
   ``TypeError``, ``KeyError``, ``IndexError``, ``AssertionError``,
   ``RuntimeError``, ``Exception``) anywhere in the library.  Public
@@ -37,9 +39,9 @@ import sys
 from pathlib import Path
 from typing import Iterator, List, Tuple
 
-# Directories (relative to src/repro) whose stamp/merge paths get the
-# stricter R002/R003 treatment.
-STRICT_DIRS = ("engine", "spice")
+# Directories (relative to src/repro) whose stamp/merge paths and
+# netlist builders get the stricter R002/R003 treatment.
+STRICT_DIRS = ("engine", "spice", "sram")
 
 # np.random attributes that are constructors/types, not global-state draws.
 RANDOM_ALLOWED = {

@@ -396,12 +396,13 @@ def _engine_limitstate(
 ) -> LimitState:
     include_beta = any(a.kind == "beta" for a in space.axes)
 
-    # Caching is on: scalar evaluations (MPFP line searches) and
-    # stencil-sized batches (MPFP gradients) share one bounded cache, so
-    # a line search revisiting a stencil point costs nothing; bulk
-    # sampling batches bypass the cache machinery entirely (see
-    # LimitState.g_batch).  fn=None: scalar calls route through the
-    # batched engine as one-row batches.
+    # Caching is on: scalar evaluations (the MPFP search's steps below a
+    # quarter) and stencil-sized batches (its gradient stencils and first
+    # Armijo steps) share one bounded cache, so a scalar evaluation
+    # revisiting a batched point costs nothing; bulk sampling batches
+    # bypass the cache machinery entirely (see LimitState.g_batch).
+    # fn=None: scalar calls route through the batched engine as one-row
+    # batches.
     return LimitState(
         fn=None,
         batch_fn=_EngineBatch(space, engine, op, metric_batch, include_beta),

@@ -147,6 +147,7 @@ class GradientImportanceSampling:
         self.workers = max(1, int(workers))
         self.n_shards = n_shards
         self.runner = runner
+        self.search_calls = 0
 
     # ------------------------------------------------------------------
 
@@ -174,7 +175,8 @@ class GradientImportanceSampling:
         (Evaluation *counts* can differ slightly across worker counts:
         pooled starts cannot share the in-process point cache.)  The
         single-start default keeps the classic single-stream RNG
-        consumption.
+        consumption.  The oracle calls of every start, kept or not, are
+        left summed in ``self.search_calls``.
         """
         if self.n_starts == 1:
             results_all = [self._run_one_start(0, rng)]
@@ -197,6 +199,7 @@ class GradientImportanceSampling:
                     skip_empty=False,
                 )
             results_all = [r.payload for r in shard_results]
+        self.search_calls = sum(r.n_calls for r in results_all)
 
         results: List[MpfpResult] = []
         for res in results_all:
@@ -263,6 +266,7 @@ class GradientImportanceSampling:
             "mpfp_u": [r.u_star.tolist() for r in mpfps],
             "mpfp_converged": [bool(r.converged) for r in mpfps],
             "search_evals": int(search_evals),
+            "search_calls": int(self.search_calls),
             "search_iterations": [int(r.iterations) for r in mpfps],
         }
         return core.run(

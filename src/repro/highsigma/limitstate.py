@@ -12,8 +12,8 @@ needs:
 * an **evaluation counter** — simulator calls are the cost unit of every
   table in the paper, and hiding search-phase calls is the classic way
   such comparisons go wrong;
-* an optional **cache**, so that re-evaluating the same vector (which
-  MPFP line searches do) is not double-billed.
+* an optional **cache**, so that re-evaluating the same vector through
+  the scalar :meth:`LimitState.g` is not double-billed.
 """
 
 from __future__ import annotations
@@ -55,13 +55,15 @@ class LimitState:
         Keep a dict of previously evaluated points (keyed on the rounded
         vector bytes).  Scalar evaluations check and populate it;
         batched evaluations populate it too when the batch is
-        stencil-sized (at most ``max(32, 4 * dim)`` rows), so gradient
-        stencils seed the cache for later line searches while bulk
-        sampling batches skip the bookkeeping entirely.
+        stencil-sized (at most ``max(32, 4 * dim)`` rows) but never
+        read it, while bulk sampling batches skip the bookkeeping
+        entirely.  The MPFP search evaluates its gradient stencils and
+        its first Armijo steps in batches; only its smaller steps, its
+        fallback step and its flat-spot kicks go through the scalar
+        path, so in GIS the cache seldom hits.
     cache_decimals:
-        Decimals the cache key is rounded to.  MPFP line searches
-        re-evaluate points that differ only in the last ulp; rounding
-        makes those hits land on one key.
+        Decimals the cache key is rounded to, so re-evaluations that
+        differ only in the last ulp land on one key.
     cache_size:
         Bound on the number of cached points (oldest entries evicted
         first).  ``None`` disables the bound — fine for short runs, a
@@ -145,13 +147,13 @@ class LimitState:
 
         Stencil-sized batches (at most ``max(32, 4 * dim)`` rows — a
         central-difference stencil is ``2 * dim``) populate the scalar
-        cache when caching is on, so an MPFP line search re-evaluating a
-        point that already appeared in a gradient stencil hits the cache
-        instead of paying for another simulation.  Bulk sampling batches
-        skip the population: per-row bookkeeping on 10^5-sample runs
-        would cost more than the hits are worth and would churn the
-        FIFO-bounded cache through exactly the stencil entries it exists
-        to keep.
+        cache when caching is on, so a later scalar evaluation of one of
+        their points hits the cache instead of paying for another
+        simulation.  Batches never read the cache.  Bulk sampling
+        batches skip the population: per-row bookkeeping on
+        10^5-sample runs would cost more than the hits are worth and
+        would churn the FIFO-bounded cache through exactly the stencil
+        entries it exists to keep.
         """
         u_batch = np.atleast_2d(np.asarray(u_batch, dtype=float))
         if u_batch.shape[1] != self.dim:
@@ -197,25 +199,47 @@ class LimitState:
         evaluated through :meth:`g_batch`, so a vectorised engine prices
         a full gradient at roughly the cost of a handful of scalar
         simulations — the key economy behind the gradient MPFP search.
+        The forward scheme also needs ``g0 = g(u)``, evaluated here when
+        not given.
+        """
+        stencil = self.fd_stencil(u, step, scheme)
+        if scheme == "forward" and g0 is None:
+            g0 = self.g(u)
+        return self.fd_difference(self.g_batch(stencil), step, scheme, g0)
+
+    def fd_stencil(self, u: np.ndarray, step: float = 0.05, scheme: str = "central") -> np.ndarray:
+        """The rows :meth:`fd_gradient` evaluates around ``u``.
+
+        Central: ``u + step e_i`` and ``u - step e_i`` interleaved (2d
+        rows); forward: ``u + step e_i`` (d rows).  Callers that batch the
+        stencil with other points (the MPFP search does) pass its margins
+        to :meth:`fd_difference`, so their gradient is bit-equal to
+        :meth:`fd_gradient`'s.
         """
         u = np.asarray(u, dtype=float)
         self._check(u)
+        if scheme not in ("central", "forward"):
+            raise EstimationError(f"unknown finite-difference scheme {scheme!r}")
         d = self.dim
-        if scheme == "central":
-            stencil = np.repeat(u[None, :], 2 * d, axis=0)
-            for i in range(d):
-                stencil[2 * i, i] += step
-                stencil[2 * i + 1, i] -= step
-            vals = self.g_batch(stencil)
-            return (vals[0::2] - vals[1::2]) / (2.0 * step)
         if scheme == "forward":
-            if g0 is None:
-                g0 = self.g(u)
             stencil = np.repeat(u[None, :], d, axis=0)
             stencil[np.arange(d), np.arange(d)] += step
-            vals = self.g_batch(stencil)
-            return (vals - g0) / step
-        raise EstimationError(f"unknown finite-difference scheme {scheme!r}")
+            return stencil
+        stencil = np.repeat(u[None, :], 2 * d, axis=0)
+        for i in range(d):
+            stencil[2 * i, i] += step
+            stencil[2 * i + 1, i] -= step
+        return stencil
+
+    @staticmethod
+    def fd_difference(
+        vals: np.ndarray, step: float, scheme: str = "central", g0: Optional[float] = None
+    ) -> np.ndarray:
+        """Gradient from the margins at :meth:`fd_stencil`'s rows (and, for
+        the forward scheme, the margin ``g0`` at its centre)."""
+        if scheme == "central":
+            return (vals[0::2] - vals[1::2]) / (2.0 * step)
+        return (vals - g0) / step
 
     def spsa_gradient(
         self,

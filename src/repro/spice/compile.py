@@ -842,10 +842,12 @@ class RetirePolicy:
     recorded its crossing and the grid time has passed ``after``;
     compaction triggers only when at least ``max(min_count,
     m // frac_divisor)`` samples are retireable, so the bookkeeping cost
-    never exceeds its savings.  Retired samples keep the peak/final
-    values they had at retirement — callers must only retire once those
-    are provably settled (the 6T read retires after the wordline has
-    fully fallen).
+    never exceeds its savings.  When every active sample is retireable
+    they all retire and the run ends there: that needs no compaction,
+    so batches below ``min_count`` (every MPFP search call) skip their
+    tail too.  Retired samples keep the peak/final values they had at
+    retirement — callers must only retire once those are provably
+    settled (the 6T read retires after the wordline has fully fallen).
     """
 
     probe: str
@@ -1841,9 +1843,8 @@ class CompiledTransient:
             ):
                 done = ~np.isnan(cross_time[retire_probe])
                 n_done = int(np.count_nonzero(done))
-                if n_done and n_done >= max(
-                    retire.min_count, m // retire.frac_divisor
-                ):
+                enough = max(retire.min_count, m // retire.frac_divisor)
+                if n_done and (n_done == m or n_done >= enough):
                     o = orig[done]
                     cross_out[:, o] = cross_time[:, done]
                     peak_out[:, o] = peaks[:, done]

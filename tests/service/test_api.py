@@ -163,6 +163,22 @@ class TestEstimate:
         result = api.estimate(linear(knobs={"dim": 12}))
         assert result.dim == 12
 
+    def test_read_search_reports_its_oracle_calls(self):
+        # The service's 5-sigma read shape: the search makes one oracle
+        # call per iteration, 7 in all (13 one point at a time), for
+        # under 100 simulations (68 one point at a time).
+        request = api.EstimateRequest(
+            workload="read",
+            spec=57.33e-12,
+            seed=1,
+            budget=64,
+            rel_err=None,
+            knobs={"n_steps": 200},
+        )
+        result = api.estimate(request)
+        assert result.diagnostics["search_calls"] <= 7
+        assert result.diagnostics["search_evals"] <= 100
+
     def test_list_workloads(self):
         names = [w.name for w in api.list_workloads()]
         assert "read" in names and "array-read" in names

@@ -239,6 +239,22 @@ class TestRetirement:
         off.read(stuck)
         assert on.n_sample_steps == off.n_sample_steps
 
+    @pytest.mark.parametrize("n", [1, 8, 15])
+    def test_batch_below_min_count_ends_once_all_retire(self, n):
+        """A batch smaller than the policy's ``min_count`` never compacts,
+        but once every sample has crossed after the wordline fell the run
+        ends: fewer sample-steps, with metric and peaks bit-equal."""
+        dvth, bmult = nominal_batch(np.random.default_rng(9), n=n)
+        on = Batched6T(n_steps=N_STEPS, kernel="fast", retire=True)
+        off = Batched6T(n_steps=N_STEPS, kernel="fast", retire=False)
+        r_on = on.read(dvth, bmult)
+        r_off = off.read(dvth, bmult)
+        assert r_on.event_found.all()
+        assert on.n_sample_steps < off.n_sample_steps
+        np.testing.assert_array_equal(r_on.metric, r_off.metric)
+        for key in ("q_peak", "qb_peak"):
+            np.testing.assert_array_equal(r_on.aux[key], r_off.aux[key])
+
     def test_more_retirees_do_not_cost_more_tail_steps(self):
         """Doubling the early-crossing population doubles the pre-
         retirement work but the retired tail stays retired: per-sample

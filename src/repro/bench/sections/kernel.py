@@ -7,7 +7,9 @@ per-device reference integrator on identical inputs (``ratio_min``
 bit-equal latch decisions).  A compiler regression therefore cannot
 hide behind the 6T specialisation — the latch and the multi-column
 array slice (sparse assembly + per-column Schur peel on the fused
-path) run the same sweep.
+path) run the same sweep.  The 6T section also pins retirement at the
+crossing: the metric-only views must read bit-equal metrics with and
+without it, and it reports the sample-steps each engine integrated.
 
 Engine construction and inputs live in each section's ``setup`` so the
 measured phase times kernels, not compilation.
@@ -67,10 +69,17 @@ def _setup_6t(n=512, n_steps=300, sigma_vth=0.03, repeat=2):
                  key="write_fast_rel_metric_diff", threshold=1e-6),
         GateSpec("kernel-6t.write_fast_retire_metric_agrees", "ratio_max",
                  key="write_fast_retire_rel_metric_diff", threshold=1e-6),
+        GateSpec("kernel-6t.read_access_times_retire_bit_equal", "bool_true",
+                 key="read_access_times_retire_bit_equal",
+                 description="retiring at the crossing leaves access times bit-equal"),
+        GateSpec("kernel-6t.write_trip_times_retire_bit_equal", "bool_true",
+                 key="write_trip_times_retire_bit_equal",
+                 description="retiring at the crossing leaves trip times bit-equal"),
     ),
 )
 def kernel_6t(ctx, n=512, n_steps=300, sigma_vth=0.03, repeat=2):
-    """Read and write batches through the three 6T engine variants."""
+    """Read and write batches through the three 6T engine variants, and
+    the metric-only views with and without retirement."""
     values = {}
     for mode in ("read", "write"):
         results = {}
@@ -87,6 +96,18 @@ def kernel_6t(ctx, n=512, n_steps=300, sigma_vth=0.03, repeat=2):
         values[f"{mode}_fast_vs_reference"] = round(
             values[f"{mode}_fast_samples_per_s"]
             / values[f"{mode}_reference_samples_per_s"], 3
+        )
+    for view in ("read_access_times", "write_trip_times"):
+        metrics = {}
+        for name in ("fast", "fast_retire"):
+            eng = ctx.engines[name]
+            eng.n_sample_steps = 0
+            metrics[name] = getattr(eng, view)(ctx.dvth, ctx.bmult)
+            values[f"{view}_{name}_steps_per_sample"] = round(
+                eng.n_sample_steps / n, 1
+            )
+        values[f"{view}_retire_bit_equal"] = bool(
+            np.array_equal(metrics["fast"], metrics["fast_retire"])
         )
     return values
 

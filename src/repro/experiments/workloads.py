@@ -330,7 +330,7 @@ class _SystemReadBatch:
                 on_unresolvable=self.sa_on_unresolvable,
             )
         dv_req = np.maximum(self.dv_base + offset, self.dv_floor)
-        return self.engine.read(dvth, dv_spec=dv_req).metric
+        return self.engine.read_access_times(dvth, dv_spec=dv_req)
 
 
 class _ColumnReadBatch:
@@ -346,7 +346,8 @@ class _ColumnReadBatch:
 
     def prepare(self) -> None:
         self.column.compiled(
-            n_steps=self.n_steps, kernel=self.kernel, assembly=self.assembly
+            n_steps=self.n_steps, kernel=self.kernel, assembly=self.assembly,
+            access_only=True,
         )
 
     def __call__(self, u_batch: np.ndarray) -> np.ndarray:
@@ -373,7 +374,7 @@ class _ArrayReadBatch:
     def prepare(self) -> None:
         self.array.compiled(
             n_steps=self.n_steps, kernel=self.kernel, assembly=self.assembly,
-            solver=self.solver,
+            solver=self.solver, access_only=True,
         )
 
     def __call__(self, u_batch: np.ndarray) -> np.ndarray:
@@ -396,11 +397,6 @@ def _engine_limitstate(
 ) -> LimitState:
     include_beta = any(a.kind == "beta" for a in space.axes)
 
-    # Caching is on: scalar evaluations (the MPFP search's steps below a
-    # quarter) and stencil-sized batches (its gradient stencils and first
-    # Armijo steps) share one bounded cache, so a scalar evaluation
-    # revisiting a batched point costs nothing; bulk sampling batches
-    # bypass the cache machinery entirely (see LimitState.g_batch).
     # fn=None: scalar calls route through the batched engine as one-row
     # batches.
     return LimitState(

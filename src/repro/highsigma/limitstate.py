@@ -53,14 +53,13 @@ class LimitState:
         Dimensionality of u-space.
     cache:
         Keep a dict of previously evaluated points (keyed on the rounded
-        vector bytes).  Scalar evaluations check and populate it;
-        batched evaluations populate it too when the batch is
-        stencil-sized (at most ``max(32, 4 * dim)`` rows) but never
-        read it, while bulk sampling batches skip the bookkeeping
-        entirely.  The MPFP search evaluates its gradient stencils and
-        its first Armijo steps in batches; only its smaller steps, its
-        fallback step and its flat-spot kicks go through the scalar
-        path, so in GIS the cache seldom hits.
+        vector bytes).  Scalar evaluations check and populate it, and so
+        does :meth:`g_batch`'s per-row fallback when there is no
+        ``batch_fn``; ``batch_fn`` batches neither read nor store it.
+        The MPFP search evaluates its gradient stencils and its first
+        Armijo steps in batches; only its smaller steps, its fallback
+        step and its flat-spot kicks go through the scalar path, so in
+        GIS the cache seldom hits.
     cache_decimals:
         Decimals the cache key is rounded to, so re-evaluations that
         differ only in the last ulp land on one key.
@@ -145,15 +144,8 @@ class LimitState:
     def g_batch(self, u_batch: np.ndarray) -> np.ndarray:
         """Margins for a block of samples (uses ``batch_fn`` when given).
 
-        Stencil-sized batches (at most ``max(32, 4 * dim)`` rows — a
-        central-difference stencil is ``2 * dim``) populate the scalar
-        cache when caching is on, so a later scalar evaluation of one of
-        their points hits the cache instead of paying for another
-        simulation.  Batches never read the cache.  Bulk sampling
-        batches skip the population: per-row bookkeeping on
-        10^5-sample runs would cost more than the hits are worth and
-        would churn the FIFO-bounded cache through exactly the stencil
-        entries it exists to keep.
+        A ``batch_fn`` batch neither reads nor stores the point cache:
+        every row is billed and simulated.
         """
         u_batch = np.atleast_2d(np.asarray(u_batch, dtype=float))
         if u_batch.shape[1] != self.dim:
@@ -168,10 +160,6 @@ class LimitState:
                     f"expected ({u_batch.shape[0]},)"
                 )
             self.n_evals += u_batch.shape[0]
-            if self._cache is not None and u_batch.shape[0] <= max(32, 4 * self.dim):
-                keyed = np.round(u_batch, self._cache_decimals) + 0.0
-                for row, value in zip(keyed, metrics):
-                    self._cache_store(row.tobytes(), float(value))
             return self._margin(metrics)
         # Fallback: one metric() pass per row (billed and cached there),
         # margined once as a block rather than re-entering g() per row.

@@ -845,9 +845,13 @@ class RetirePolicy:
     never exceeds its savings.  When every active sample is retireable
     they all retire and the run ends there: that needs no compaction,
     so batches below ``min_count`` (every MPFP search call) skip their
-    tail too.  Retired samples keep the peak/final values they had at
-    retirement — callers must only retire once those are provably
-    settled (the 6T read retires after the wordline has fully fallen).
+    tail too.  Both thresholds must be positive.  Retired samples keep
+    the peak/final values they had at retirement, so retire only once
+    every probe the caller reads has settled: a caller that reads only
+    the crossing retires at it (the access- and trip-time views set
+    ``after`` to the wordline half-swing their metric is measured
+    from), while the full 6T read, which also reports peaks and final
+    values, retires after the wordline has fallen.
     """
 
     probe: str
@@ -1156,7 +1160,7 @@ class CompiledTransient:
         self._has_g = bool(np.any(gmat != 0.0) or np.any(g_rail != 0.0))
         # Diagonal-conductance fast path: every conductance sits on the
         # diagonal (resistors to rails/ground only) — the common testbench
-        # case, and the one the hand-written 6T write path used.
+        # case, and the 6T write plan's.
         self._g_is_diag = self._has_g and not np.any(
             gmat[~np.eye(nu, dtype=bool)] != 0.0
         )
@@ -1347,8 +1351,8 @@ class CompiledTransient:
         cap_inj = drail_dt @ self._cap_rail.T                     # (n_steps, nu)
 
         # Resistive rail drive.  On the diagonal fast path this is kept in
-        # the hand-written engine's g * (y - v_eff) form (bit-compatible
-        # with PR 2's write driver); the general path subtracts G_rail @ v.
+        # the g * (y - v_eff) form the 6T write plan is pinned in; the
+        # general path subtracts G_rail @ v.
         # Rail resistors already contributed to the gmat diagonal; here
         # only the drive side (g * v_rail) is assembled.
         g_diag = np.diag(self._gmat).copy()
@@ -1657,6 +1661,13 @@ class CompiledTransient:
         retire_from = plan.n_steps
         retire_probe = -1
         if retire is not None:
+            if retire.min_count < 1 or retire.frac_divisor < 1:
+                raise CompileError(
+                    f"run: retire thresholds must be positive, got "
+                    f"min_count={retire.min_count!r}, "
+                    f"frac_divisor={retire.frac_divisor!r}",
+                    code="P006",
+                )
             for j, probe in enumerate(self._cross_probes):
                 if probe.name == retire.probe:
                     retire_probe = j

@@ -39,12 +39,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.spice.compile import (
-    CompiledTransient,
-    CrossProbe,
-    ValueProbe,
-    transient_grid,
-)
+from repro.spice.compile import CompiledTransient, transient_grid
 from repro.spice.elements import Capacitor, Mosfet, VoltageSource
 from repro.spice.plan import compile_cached
 from repro.spice.netlist import Circuit
@@ -56,6 +51,8 @@ from repro.sram.column import (
     CBL_PER_CELL,
     CBL_WIRE,
     _access_metric,
+    _access_probes,
+    _access_retire,
     _batch_n,
     _vth_dict,
 )
@@ -289,8 +286,16 @@ class ArraySlice:
         kernel: str = "fast",
         assembly: str = "auto",
         solver: str = "auto",
+        access_only: bool = False,
     ) -> CompiledTransient:
         """The whole slice compiled into one batched kernel (cached).
+
+        Two plans share the circuit and grid.  ``access_only=True`` holds
+        the ``access`` cross probe alone: :meth:`access_times_batch` runs
+        it and retires each sample at its crossing.  The default plan
+        also holds the ``diff_at_wl_fall`` value probe that
+        :meth:`differential_at_wl_fall_batch` and :meth:`resolve_batch`
+        read, so it never retires.
 
         Every cell node, every bitline and both data lines integrate as
         unknowns (``n_cols * (2 * n_leakers + 4) + 2`` of them), so the
@@ -303,10 +308,9 @@ class ArraySlice:
         guarded elimination — the cross-check the smoke benchmark gates
         the peel against.
         """
-        key = (int(n_steps), kernel, assembly, solver)
+        key = (int(n_steps), kernel, assembly, solver, access_only)
         ct = self._compiled.get(key)
         if ct is None:
-            t_fall = self._t_wl_fall()
             ct = compile_cached(
                 self.circuit,
                 grid=transient_grid(
@@ -314,11 +318,8 @@ class ArraySlice:
                     breakpoints=self.circuit["v_wl"].shape.breakpoints(),
                     n_steps=n_steps,
                 ),
-                probes=(
-                    CrossProbe("access", {"dlb": 1.0, "dl": -1.0},
-                               offset=-self.dv_spec),
-                    ValueProbe("diff_at_wl_fall", {"dlb": 1.0, "dl": -1.0},
-                               t=t_fall),
+                probes=_access_probes(
+                    "dlb", "dl", self.dv_spec, self._t_wl_fall(), access_only
                 ),
                 kernel=kernel,
                 assembly=assembly,
@@ -354,16 +355,20 @@ class ArraySlice:
         differential reaching ``dv_spec``; samples that never develop
         the differential get the continuous shortfall penalty
         ``(t_stop - t_wl) + (dv_spec - diff_final) * penalty_per_volt``
-        so search methods keep a gradient to climb.
+        so search methods keep a gradient to climb.  Each sample retires
+        at its crossing on the fast kernel, so Newton failures after it
+        are neither integrated nor counted in ``n_nonconverged``.
         """
         n = _batch_n(delta_vth)
         ct = self.compiled(
-            n_steps=n_steps, kernel=kernel, assembly=assembly, solver=solver
+            n_steps=n_steps, kernel=kernel, assembly=assembly, solver=solver,
+            access_only=True,
         )
         res = ct.run(
             ic=self._initial_conditions(),
             n=n,
             delta_vth=self._vth_dict(delta_vth, n),
+            retire=_access_retire(ct, self.timing),
         )
         self.n_simulations += n
         self.n_nonconverged += int(np.count_nonzero(~res.converged))

@@ -29,9 +29,17 @@ the scalar MNA engine, which stays the independent oracle.
 
 * ``"fast"`` (default) — one stacked device evaluation over ``(6, n)``
   arrays per Newton iteration, closed-form batched 4x4 solves, and
-  read-mode sample retirement (samples whose threshold crossing is
-  recorded after the wordline has fallen drop out of the active set;
-  disable with ``retire=False`` when bit-faithful aux tails matter).
+  sample retirement: a sample drops out of the active set once nothing
+  its caller reads can change.  The metric-only views
+  (:meth:`Batched6T.read_access_times`, :meth:`Batched6T.write_trip_times`)
+  retire each sample at its threshold crossing once the wordline is at
+  half swing — the instant both metrics are measured from — the way
+  HSPICE's ``.OPTION AUTOSTOP`` ends a transient once its measurements
+  have triggered.  :meth:`Batched6T.read` also reports peaks and final
+  values, so it retires only after the wordline has fallen, and
+  :meth:`Batched6T.write` never retires.  A sample that never crosses
+  never retires, so its penalty metric still reads full-window values.
+  Disable with ``retire=False`` when bit-faithful aux tails matter.
 * ``"reference"`` — per-device :meth:`MosfetModel.ids` calls and
   ``np.linalg.solve`` in the same step loop; slower but maximally
   transparent.  Retirement is fast-only, so the reference keeps full aux
@@ -85,8 +93,9 @@ class Batched6T:
     :class:`~repro.sram.testbench.WriteTestbench`; ``n_steps`` controls
     the base integration grid density.  ``kernel`` selects the compiled
     integrator path (``"fast"`` or ``"reference"``); ``retire`` enables
-    read-mode sample retirement on the fast kernel (ignored by the
-    reference kernel).
+    sample retirement on the fast kernel (ignored by the reference
+    kernel): the metric-only views retire each sample at its crossing,
+    :meth:`read` after wordline fall, and :meth:`write` never.
 
     The read and write plans are compiled on first use and memoised;
     mutating the engine's configuration afterwards is not supported
@@ -234,6 +243,7 @@ class Batched6T:
         bmult: Optional[np.ndarray],
         mode: str,
         dv_spec=None,
+        metric_only: bool = False,
     ) -> BatchedRunResult:
         dvth = np.atleast_2d(np.asarray(dvth, dtype=float))
         if dvth.shape[1] != 6:
@@ -258,12 +268,19 @@ class Batched6T:
         ct = self.compiled(mode)
         vdd = self.vdd
         retire = None
-        if mode == "read":
-            ic = {"q": 0.0, "qb": vdd, "bl": vdd, "blb": vdd}
-            if self.retire and self.kernel == "fast":
+        if self.retire and self.kernel == "fast":
+            if metric_only:
+                # The metric is fixed at the crossing, and both peak
+                # windows open at the wordline half-swing, so the plan
+                # audit (P006) accepts retiring there.
+                retire = RetirePolicy("cross", after=self._t_wl_mid)
+            elif mode == "read":
+                # Peaks and final values settle once the wordline falls.
                 t = self.timing
                 t_wl_off = t.wl_delay + t.wl_rise + t.wl_width + t.wl_fall
                 retire = RetirePolicy("cross", after=t_wl_off)
+        if mode == "read":
+            ic = {"q": 0.0, "qb": vdd, "bl": vdd, "blb": vdd}
         else:
             ic = {"q": vdd, "qb": 0.0, "bl": 0.0, "blb": vdd}
 
@@ -342,13 +359,19 @@ class Batched6T:
         """Batched write operation → trip-time metric per sample."""
         return self._run(dvth, bmult, "write")
 
-    def read_access_times(self, dvth, bmult=None) -> np.ndarray:
-        """Convenience: just the access-time vector."""
-        return self.read(dvth, bmult).metric
+    def read_access_times(self, dvth, bmult=None, dv_spec=None) -> np.ndarray:
+        """Just the access-time vector, equal to ``read(...).metric``.
+
+        Each sample retires at its crossing, so Newton failures after it
+        are neither integrated nor counted.  ``dv_spec`` is as in
+        :meth:`read`.
+        """
+        return self._run(dvth, bmult, "read", dv_spec=dv_spec, metric_only=True).metric
 
     def write_trip_times(self, dvth, bmult=None) -> np.ndarray:
-        """Convenience: just the trip-time vector."""
-        return self.write(dvth, bmult).metric
+        """Just the trip-time vector, equal to ``write(...).metric``; each
+        sample retires at its crossing."""
+        return self._run(dvth, bmult, "write", metric_only=True).metric
 
     def read_disturb_peaks(self, dvth, bmult=None) -> np.ndarray:
         """Convenience: peak low-node disturbance during a read."""

@@ -39,6 +39,7 @@ from repro.errors import ConfigError
 from repro.spice.compile import (
     CompiledTransient,
     CrossProbe,
+    RetirePolicy,
     ValueProbe,
     transient_grid,
 )
@@ -78,6 +79,31 @@ def _vth_dict(delta_vth, n: int, names: List[str], what: str):
             f"over {what}"
         )
     return {name: arr[:, j] for j, name in enumerate(names)}
+
+
+def _access_probes(pos: str, neg: str, dv_spec: float, t_fall: float,
+                   access_only: bool) -> tuple:
+    """Probes of a column or array plan over the ``pos - neg`` differential.
+
+    The ``access`` cross probe alone when ``access_only``, so a run can
+    retire each sample at its crossing; otherwise also the
+    ``diff_at_wl_fall`` value probe, which rules retirement out (P006).
+    """
+    access = CrossProbe("access", {pos: 1.0, neg: -1.0}, offset=-dv_spec)
+    if access_only:
+        return (access,)
+    return (access, ValueProbe("diff_at_wl_fall", {pos: 1.0, neg: -1.0}, t=t_fall))
+
+
+def _access_retire(ct: CompiledTransient, timing) -> Optional[RetirePolicy]:
+    """The policy an access-only run retires under on the fast kernel:
+    each sample leaves at its ``access`` crossing once the wordline is at
+    half swing, where its metric is fixed.  A sample that never crosses
+    never retires, so its penalty reads the final values at ``t_stop``.
+    The reference kernel integrates every sample to ``t_stop``."""
+    if ct.kernel != "fast":
+        return None
+    return RetirePolicy("access", after=timing.wl_delay + 0.5 * timing.wl_rise)
 
 
 def _access_metric(res, pos: str, neg: str, timing, dv_spec: float,
@@ -250,9 +276,19 @@ class ReadColumn:
         return t.wl_delay + t.wl_rise + t.wl_width + t.wl_fall
 
     def compiled(
-        self, n_steps: int = 400, kernel: str = "fast", assembly: str = "auto"
+        self,
+        n_steps: int = 400,
+        kernel: str = "fast",
+        assembly: str = "auto",
+        access_only: bool = False,
     ) -> CompiledTransient:
         """The whole column compiled into one batched kernel (cached).
+
+        Two plans share the circuit and grid.  ``access_only=True`` holds
+        the ``access`` cross probe alone: :meth:`access_times_batch` runs
+        it and retires each sample at its crossing.  The default plan
+        also holds the ``diff_at_wl_fall`` value probe that
+        :meth:`differential_at_wl_fall_batch` reads, so it never retires.
 
         Every cell — accessed and leakers — integrates as unknowns
         (``4 + 2 * n_leakers`` nodes), so the compiled path sees exactly
@@ -265,10 +301,9 @@ class ReadColumn:
         the column a bulk-sampling workload rather than a per-sample
         curiosity.
         """
-        key = (int(n_steps), kernel, assembly)
+        key = (int(n_steps), kernel, assembly, access_only)
         ct = self._compiled.get(key)
         if ct is None:
-            t_fall = self._t_wl_fall()
             ct = compile_cached(
                 self.circuit,
                 grid=transient_grid(
@@ -276,11 +311,8 @@ class ReadColumn:
                     breakpoints=self.circuit["v_wl"].shape.breakpoints(),
                     n_steps=n_steps,
                 ),
-                probes=(
-                    CrossProbe("access", {"blb": 1.0, "bl": -1.0},
-                               offset=-self.dv_spec),
-                    ValueProbe("diff_at_wl_fall", {"blb": 1.0, "bl": -1.0},
-                               t=t_fall),
+                probes=_access_probes(
+                    "blb", "bl", self.dv_spec, self._t_wl_fall(), access_only
                 ),
                 kernel=kernel,
                 assembly=assembly,
@@ -307,10 +339,14 @@ class ReadColumn:
         bitline differential reaching ``dv_spec``; samples that never
         develop the differential get the continuous shortfall penalty
         ``(t_stop - t_wl) + (dv_spec - diff_final) * penalty_per_volt``
-        so search methods keep a gradient to climb.
+        so search methods keep a gradient to climb.  Each sample retires
+        at its crossing on the fast kernel, so Newton failures after it
+        are neither integrated nor counted in ``n_nonconverged``.
         """
         n = _batch_n(delta_vth)
-        ct = self.compiled(n_steps=n_steps, kernel=kernel, assembly=assembly)
+        ct = self.compiled(
+            n_steps=n_steps, kernel=kernel, assembly=assembly, access_only=True
+        )
         res = ct.run(
             ic=self._initial_conditions(),
             n=n,
@@ -318,6 +354,7 @@ class ReadColumn:
                 delta_vth, n, self.all_device_names(),
                 "the accessed cell plus leakers (all_device_names order)",
             ),
+            retire=_access_retire(ct, self.timing),
         )
         self.n_simulations += n
         self.n_nonconverged += int(np.count_nonzero(~res.converged))

@@ -131,7 +131,7 @@ class TestCounting:
 
 
 class TestBatchCachePopulation:
-    def make_counted(self, cache=True, cache_size=None):
+    def make_counted(self, cache=True):
         calls = {"fn": 0, "batch": 0}
 
         def fn(u):
@@ -142,44 +142,19 @@ class TestBatchCachePopulation:
             calls["batch"] += 1
             return ub[:, 0]
 
-        ls = LimitState(
-            fn=fn, batch_fn=batch_fn, spec=2.0, dim=2,
-            cache=cache, **({} if cache_size is None else {"cache_size": cache_size}),
-        )
+        ls = LimitState(fn=fn, batch_fn=batch_fn, spec=2.0, dim=2, cache=cache)
         return ls, calls
 
-    def test_batch_populates_scalar_cache(self):
-        # The MPFP pattern: stencil points evaluated through g_batch, one
-        # of them re-evaluated scalar by a later line search — must hit
-        # the cache instead of paying for another simulation.
+    def test_stencil_batch_leaves_cache_empty(self):
+        # A central-difference stencil (2 * dim rows) is simulated and
+        # billed, and no row of it enters the point cache: no batch
+        # reads the cache, and the MPFP search's scalar steps revisit no
+        # stencil point.
         ls, calls = self.make_counted()
-        stencil = np.array([[0.5, 0.0], [1.5, 0.0], [0.5, 1.0]])
+        stencil = ls.fd_stencil(np.array([0.5, 0.0]))
         ls.g_batch(stencil)
-        assert ls.n_evals == 3
-        assert ls.g(np.array([1.5, 0.0])) == pytest.approx(0.5)
-        assert ls.n_evals == 3  # cache hit, not billed
-        assert calls["fn"] == 0  # scalar path never ran the simulator
-
-    def test_fails_batch_populates_too(self):
-        ls, calls = self.make_counted()
-        ls.fails_batch(np.array([[2.5, 0.0]]))
-        assert ls.fails(np.array([2.5, 0.0]))
-        assert ls.n_evals == 1
-
-    def test_batch_population_respects_size_bound(self):
-        ls, _ = self.make_counted(cache_size=4)
-        ls.g_batch(np.stack([np.arange(10.0), np.zeros(10)], axis=1))
-        assert len(ls._cache) == 4
-
-    def test_bulk_sampling_batches_skip_population(self):
-        # Population is for stencil-sized batches; a sampling-sized block
-        # must neither pay the per-row bookkeeping nor churn the FIFO.
-        ls, _ = self.make_counted()
-        ls.g_batch(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
-        assert len(ls._cache) == 3
-        big = np.stack([np.arange(100.0), np.ones(100)], axis=1)
-        ls.g_batch(big)
-        assert len(ls._cache) == 3  # untouched by the bulk batch
+        assert ls.n_evals == 4 and calls["batch"] == 1
+        assert ls._cache == {}
 
     def test_batch_population_disabled_with_cache_off(self):
         ls, _ = self.make_counted(cache=False)

@@ -13,7 +13,7 @@ non-6T circuit.
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import CompileError, SimulationError
 from repro.spice.compile import (
     CompiledTransient,
     CrossProbe,
@@ -232,6 +232,23 @@ class TestRunValidation:
         )
         with pytest.raises(SimulationError, match="unknown cross probe"):
             ct.run(ic={"out": 1.0}, n=4, retire=RetirePolicy("zzz", after=0.5e-9))
+
+    @pytest.mark.parametrize("min_count, frac_divisor", [(16, 0), (0, 8)])
+    def test_nonpositive_retire_thresholds_rejected(self, min_count, frac_divisor):
+        """A zero ``frac_divisor`` would divide by zero mid-run and a zero
+        ``min_count`` is a policy the plan audit reports as P006; the run
+        refuses both up front with that code."""
+        ct = CompiledTransient(
+            _rc_circuit(),
+            grid=transient_grid(1.5e-9, n_steps=64),
+            probes=(CrossProbe("c", {"out": 1.0}, offset=-0.5),),
+        )
+        retire = RetirePolicy(
+            "c", after=0.5e-9, min_count=min_count, frac_divisor=frac_divisor
+        )
+        with pytest.raises(CompileError, match="retire thresholds") as info:
+            ct.run(ic={"out": 0.0}, n=4, retire=retire)
+        assert info.value.code == "P006"
 
 
 def _compiled_pair(circuit, grid, probes, **kwargs):

@@ -20,12 +20,16 @@ from repro.spice.elements import Capacitor, Mosfet, Resistor, VoltageSource
 from repro.spice.mosfet import nmos_45nm, pmos_45nm
 from repro.spice.netlist import Circuit
 from repro.spice.sources import dc, pulse
+from repro.sram.array import ArrayConfig, ArraySlice
+from repro.sram.batched import Batched6T
 from repro.sram.benches import (
     BENCH_NAMES,
     bench_compiled,
     bench_solver_choices,
     recompile,
 )
+from repro.sram.column import ColumnConfig, ReadColumn
+from repro.sram.testbench import OperationTiming
 
 
 def _codes(diags):
@@ -335,19 +339,61 @@ class TestPlanTableMutations:
         assert any(d.subject == "base_jac" for d in diags)
 
 
+def _t_wl_mid():
+    t = OperationTiming()
+    return t.wl_delay + 0.5 * t.wl_rise
+
+
 class TestRetirementAudit:
+    def test_production_plans_clean_under_their_policies(self, monkeypatch):
+        """Every compiled run a production view makes passes the audit
+        under the retirement policy that run uses."""
+        runs = []
+        real_run = CompiledTransient.run
+
+        def recorded(self, *args, **kwargs):
+            runs.append((self, kwargs.get("retire")))
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledTransient, "run", recorded)
+        cell = np.zeros((2, 6))
+        eng = Batched6T(n_steps=200)
+        col = ReadColumn(config=ColumnConfig(n_leakers=3))
+        arr = ArraySlice(config=ArrayConfig(n_cols=2, n_leakers=3))
+        eng.read_access_times(cell)
+        eng.read_access_times(cell, dv_spec=0.1)
+        eng.write_trip_times(cell)
+        eng.read(cell)
+        eng.write(cell)
+        col.access_times_batch(np.zeros((2, 24)), n_steps=64)
+        col.differential_at_wl_fall_batch(cell, n_steps=64)
+        arr.access_times_batch(np.zeros((2, 48)), n_steps=64)
+        arr.differential_at_wl_fall_batch(np.zeros((2, 48)), n_steps=64)
+
+        # Every view retires except the full write and the wordline-fall
+        # differentials, whose plans hold a value probe.
+        retiring = [retire is not None for _, retire in runs]
+        assert retiring == [True, True, True, True, False, True, False, True, False]
+        for ct, retire in runs:
+            assert _errors(audit_plan(ct, retire=retire)) == []
+
     def test_p006_value_probe_with_retirement(self):
+        # The access runs' policy on the two-probe plan the wordline-fall
+        # differential reads.
         ct = bench_compiled("array")
-        retire = RetirePolicy("access", after=float(ct.grid[-1]) * 0.5)
+        retire = RetirePolicy("access", after=_t_wl_mid())
         diags = _errors(audit_plan(ct, retire=retire))
-        assert "P006" in _codes(diags)
+        assert _codes(diags) == ["P006"]
+        assert [d.subject for d in diags] == ["diff_at_wl_fall"]
 
     def test_p006_peak_window_after_retirement(self):
-        ct = bench_compiled("write")
-        t_from = float(ct._peak_probes[0].t_from)
-        retire = RetirePolicy("cross", after=t_from * 0.5)
+        # Retiring the 6T read from t = 0 would freeze both peaks before
+        # their windows open at the wordline half-swing.
+        ct = bench_compiled("6t")
+        retire = RetirePolicy("cross", after=0.0)
         diags = _errors(audit_plan(ct, retire=retire))
-        assert "P006" in _codes(diags)
+        assert _codes(diags) == ["P006"]
+        assert sorted(d.subject for d in diags) == ["q_peak", "qb_peak"]
 
     def test_p006_unknown_retire_probe(self):
         ct = bench_compiled("6t")

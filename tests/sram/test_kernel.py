@@ -1,11 +1,14 @@
-"""6T kernels: fast vs reference, the recorded hand-written loop, solve4, retirement."""
+"""6T kernels: fast vs reference, the recorded hand-written loop, solve4,
+and retirement (on the 6T and on the column and array access runs)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.sram.array import ArrayConfig, ArraySlice
 from repro.sram.batched import Batched6T
-from repro.spice.compile import solve4
+from repro.sram.column import ColumnConfig, ReadColumn
+from repro.spice.compile import CompiledTransient, solve4
 
 N_STEPS = 300
 
@@ -266,3 +269,74 @@ class TestRetirement:
         eng.read(np.zeros((128, 6)))
         per_sample_128 = eng.n_sample_steps / 128
         assert per_sample_128 == pytest.approx(per_sample_64, rel=0.02)
+
+    @pytest.mark.parametrize("n, stuck", [(1, 0), (15, 2), (16, 2), (256, 8)])
+    def test_metric_views_retire_at_the_crossing(self, n, stuck):
+        """The metric-only views retire each sample at its crossing: their
+        metrics are bit-equal to a non-retiring engine's, and a batch that
+        can retire (every sample crosses, or enough to compact) pays about
+        the ~34 steps to the crossing per crossing sample, not the 168 to
+        wordline fall (read) or the 200 to ``t_stop`` (write).  Samples
+        with dead pass gates never cross, never retire, and keep their
+        full-window penalty metric."""
+        steps = 200
+        rng = np.random.default_rng(20 + n)
+        dvth, bmult = nominal_batch(rng, n=n)
+        dvth[:stuck, 2] = dvth[:stuck, 5] = 0.8
+        dv_spec = rng.uniform(0.08, 0.16, size=n)
+        views = {
+            "read": lambda e: e.read_access_times(dvth, bmult),
+            "system read": lambda e: e.read_access_times(dvth, bmult, dv_spec=dv_spec),
+            "write": lambda e: e.write_trip_times(dvth, bmult),
+        }
+        on = Batched6T(n_steps=steps, kernel="fast", retire=True)
+        off = Batched6T(n_steps=steps, kernel="fast", retire=False)
+        for name, view in views.items():
+            on.n_sample_steps = 0
+            t_on, t_off = view(on), view(off)
+            np.testing.assert_array_equal(t_on, t_off, err_msg=name)
+            assert (t_on[:stuck] > 1e-9).all()  # the no-crossing penalty
+            if stuck == 0 or n - stuck >= 16:
+                per_crossing = (on.n_sample_steps - stuck * steps) / (n - stuck)
+                assert per_crossing <= 40, name
+
+    @pytest.mark.parametrize("bench", ["column", "array"])
+    def test_access_times_retire_at_the_crossing(self, bench, monkeypatch):
+        """Column and array access times retire each sample at its
+        crossing on the access-only plan: bit-equal to the same plan run
+        without retirement, for far fewer sample-steps."""
+        if bench == "column":
+            obj = ReadColumn(config=ColumnConfig(n_leakers=3))
+        else:
+            obj = ArraySlice(config=ArrayConfig(n_cols=2, n_leakers=3))
+        names = obj.all_device_names()
+        rng = np.random.default_rng(31)
+        dvth = rng.normal(0.0, 0.03, size=(64, len(names)))
+        for dev in obj.accessed_device_names():
+            if dev.startswith("m_pg_"):  # dead pass gates: no read at all
+                dvth[:4, names.index(dev)] = 0.8
+
+        runs = []
+        real_run = CompiledTransient.run
+
+        def recorded(self, *args, **kwargs):
+            res = real_run(self, *args, **kwargs)
+            runs.append((kwargs.get("retire"), self, res.n_sample_steps))
+            return res
+
+        monkeypatch.setattr(CompiledTransient, "run", recorded)
+        t_on = obj.access_times_batch(dvth, n_steps=160)
+
+        def without_retirement(self, *args, **kwargs):
+            kwargs["retire"] = None
+            return recorded(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledTransient, "run", without_retirement)
+        t_off = obj.access_times_batch(dvth, n_steps=160)
+
+        (retire, plan_on, steps_on), (_, plan_off, steps_off) = runs
+        assert retire is not None and plan_on is plan_off
+        assert [p.name for p in plan_on._value_probes] == []
+        np.testing.assert_array_equal(t_on, t_off)
+        assert (t_on[:4] > 1e-9).all()  # the no-crossing penalty
+        assert steps_on < 0.4 * steps_off

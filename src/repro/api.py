@@ -34,6 +34,7 @@ The shape::
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -107,6 +108,30 @@ def _check_int(name: str, value: Any, minimum: int) -> None:
     )
 
 
+def _check_knob(key: str, value: Any, default: Any) -> None:
+    """A knob value must match the type of the factory's default: an int
+    default needs an int >= 1, a float default a finite real, a ``None``
+    default null or a finite real, a bool or str default its own type."""
+    name = f"knob {key!r}"
+    if isinstance(default, bool):
+        _require(isinstance(value, bool), f"{name} must be a boolean, got {value!r}", "A003")
+    elif isinstance(default, int):
+        _check_int(name, value, 1)
+    elif isinstance(default, str):
+        _require(isinstance(value, str), f"{name} must be a string, got {value!r}", "A003")
+    else:
+        real = (isinstance(value, int) and not isinstance(value, bool)) or (
+            isinstance(value, float) and math.isfinite(value)
+        )
+        nullable = default is None
+        _require(
+            real or (nullable and value is None),
+            f"{name} must be a finite number{' or null' if nullable else ''}, "
+            f"got {value!r}",
+            "A003",
+        )
+
+
 @dataclass(frozen=True)
 class EstimateRequest:
     """One estimation request — the unit the facade and service accept.
@@ -146,7 +171,8 @@ class EstimateRequest:
 
         Raises :class:`repro.errors.RequestError` with the stable
         ``A0xx`` codes: A001 unknown workload, A002 unknown knob,
-        A003 bad field/knob value, A004 unsupported method.
+        A003 bad field/knob value (a knob's type follows its factory
+        default), A004 unsupported method.
         """
         _require(
             isinstance(self.workload, str) and bool(self.workload),
@@ -208,6 +234,7 @@ class EstimateRequest:
                 f"{type(value).__name__}",
                 "A003",
             )
+            _check_knob(key, value, workload.knob_defaults[key])
             allowed = workload.choices.get(key)
             if allowed is not None:
                 _require(
@@ -415,8 +442,7 @@ class PreparedEstimate:
     cache miss) while the sampling phase runs concurrently.
     ``limit_state`` has been :meth:`~repro.highsigma.limitstate.LimitState.warmup`-ed:
     every plan :meth:`run` fetches exists, and nothing has been
-    evaluated, so its counters and point cache are those of a fresh
-    limit state.
+    evaluated, so its evaluation counter is that of a fresh limit state.
     """
 
     request: EstimateRequest

@@ -697,20 +697,14 @@ class ShardedRunner:
 
         A failed attempt must leave no trace: the RNG is cloned per
         attempt (the stream must not advance), and the parent limit
-        state's eval count and scalar cache are snapshot-restored, so
-        the eventual successful attempt reproduces the fault-free run
-        bit for bit — including its accounting.
+        state's eval count is snapshot-restored, so the eventual
+        successful attempt reproduces the fault-free run bit for bit —
+        including its accounting.
         """
         walls = stats["attempt_wall"].setdefault(index, [])
         failures = 0
         while True:
             snap_evals = None if limit_state is None else limit_state.n_evals
-            cache = getattr(limit_state, "_cache", None)
-            snap_cache = (
-                dict(cache)
-                if retry.max_attempts > 1 and isinstance(cache, dict)
-                else None
-            )
             start = time.perf_counter()
             try:
                 result = _run_attempt(task, index, _clone_generator(rng), budget, failures)
@@ -723,9 +717,6 @@ class ShardedRunner:
                 stats["failures"][index] = failures
                 if snap_evals is not None:
                     limit_state.n_evals = snap_evals
-                if snap_cache is not None:
-                    cache.clear()
-                    cache.update(snap_cache)
                 if failures >= retry.max_attempts:
                     raise ShardExecutionError(
                         f"shard {index} failed after {failures} attempt(s): "

@@ -17,8 +17,10 @@ Two families:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -770,11 +772,12 @@ class WorkloadSpec:
     """One named, remotely invokable estimation workload.
 
     ``factory(spec, **knobs)`` builds a fresh :class:`LimitState`;
-    ``knobs`` is the exact set of keyword names a request may set;
-    ``choices`` restricts enum-valued knobs; ``estimator_options`` are
-    extra keyword arguments for the GIS estimator (the per-workload
-    search tuning the CLI historically hard-coded, e.g. the sense-amp
-    bisection-matched MPFP tolerances).
+    ``knobs`` is the exact set of keyword names a request may set, and
+    a value must match the type of the factory's default for it
+    (:attr:`knob_defaults`); ``choices`` restricts enum-valued knobs;
+    ``estimator_options`` are extra keyword arguments for the GIS
+    estimator (the per-workload search tuning the CLI historically
+    hard-coded, e.g. the sense-amp bisection-matched MPFP tolerances).
     """
 
     name: str
@@ -784,6 +787,12 @@ class WorkloadSpec:
     knobs: Tuple[str, ...] = ()
     choices: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
     estimator_options: Mapping[str, object] = field(default_factory=dict)
+
+    @cached_property
+    def knob_defaults(self) -> Dict[str, Any]:
+        """Each knob's default in ``factory``'s signature (read once)."""
+        params = inspect.signature(self.factory).parameters
+        return {name: params[name].default for name in self.knobs}
 
     def to_json(self) -> dict:
         """JSON-safe catalogue entry (what ``GET /v1/workloads`` serves)."""
@@ -797,11 +806,11 @@ class WorkloadSpec:
 
 
 def _analytic_linear(spec: float, dim: int = 8) -> LimitState:
-    return LinearLimitState(beta=spec, dim=int(dim))
+    return LinearLimitState(beta=spec, dim=dim)
 
 
 def _analytic_quadratic(spec: float, dim: int = 8, kappa: float = 0.1) -> LimitState:
-    return QuadraticLimitState(beta=spec, dim=int(dim), kappa=float(kappa))
+    return QuadraticLimitState(beta=spec, dim=dim, kappa=kappa)
 
 
 _ASSEMBLY = ("auto", "dense", "sparse")

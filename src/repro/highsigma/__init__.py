@@ -3,7 +3,9 @@
 The paper's contribution and its comparison set:
 
 * :mod:`repro.highsigma.limitstate` — the ``g(u) <= 0 ⇔ failure``
-  abstraction with evaluation counting and caching.
+  abstraction with evaluation counting.
+* :mod:`repro.highsigma.results` — the result record every estimator
+  returns.
 * :mod:`repro.highsigma.analytic` — limit states with closed-form failure
   probabilities, the exactness anchor for every accuracy experiment.
 * :mod:`repro.highsigma.estimators` — importance-weight math, effective
@@ -20,6 +22,8 @@ The paper's contribution and its comparison set:
   extrapolation baseline).
 * :mod:`repro.highsigma.spherical` — spherical radius-search IS
   (blind-search baseline and ablation reference).
+* :mod:`repro.highsigma.ce` — cross-entropy adaptive IS (the
+  adaptive-IS baseline of the sampler-variant comparison).
 * :mod:`repro.highsigma.sigma` — P_fail ↔ sigma-level and array-yield
   conversions.
 """
@@ -33,7 +37,6 @@ from repro.highsigma.analytic import (
     SramSurrogateLimitState,
     UnionLimitState,
 )
-from repro.highsigma.form import form_estimate, sorm_estimate
 from repro.highsigma.mc import MonteCarloEstimator
 from repro.highsigma.mpfp import MpfpResult, MpfpSearch
 from repro.highsigma.gis import GradientImportanceSampling
@@ -57,8 +60,6 @@ __all__ = [
     "UnionLimitState",
     "SramSurrogateLimitState",
     "MonteCarloEstimator",
-    "form_estimate",
-    "sorm_estimate",
     "MpfpSearch",
     "MpfpResult",
     "GradientImportanceSampling",

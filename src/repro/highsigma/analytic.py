@@ -80,7 +80,6 @@ class LinearLimitState(LimitState):
             dim=dim,
             direction="upper",
             name=f"linear(beta={beta:g}, d={dim})",
-            cache=False,
         )
 
     def _metric(self, u):
@@ -112,7 +111,6 @@ class HypersphereLimitState(LimitState):
             dim=dim,
             direction="upper",
             name=f"sphere(R={radius:g}, d={dim})",
-            cache=False,
         )
 
     def _metric(self, u):
@@ -155,7 +153,6 @@ class UnionLimitState(LimitState):
             dim=dim,
             direction="lower",
             name=f"union(betas={list(map(float, betas))}, d={dim})",
-            cache=False,
         )
 
     def _margin_metric(self, u):
@@ -202,7 +199,6 @@ class QuadraticLimitState(LimitState):
             dim=dim,
             direction="upper",
             name=f"quadratic(beta={beta:g}, kappa={kappa:g}, d={dim})",
-            cache=False,
         )
 
     def _metric(self, u):
@@ -274,7 +270,6 @@ class SramSurrogateLimitState(LimitState):
             dim=dim,
             direction="upper",
             name=f"sram-surrogate(spec={spec:.3e}, d={dim})",
-            cache=False,
         )
 
     def _metric(self, u):

@@ -167,16 +167,14 @@ class GradientImportanceSampling:
         """Stage 1: run the gradient searches and dedupe the results.
 
         Multi-start runs shard one search per start over a
-        :class:`~repro.engine.sharding.ShardedRunner` (the ROADMAP's
-        "search stages are still serial" item).  Determinism contract:
-        each start draws from its own ``SeedSequence``-spawned stream and
-        the dedup/beta-window selection runs in fixed start order, so the
-        kept MPFPs depend only on ``n_starts`` — never on ``workers``.
-        (Evaluation *counts* can differ slightly across worker counts:
-        pooled starts cannot share the in-process point cache.)  The
-        single-start default keeps the classic single-stream RNG
-        consumption.  The oracle calls of every start, kept or not, are
-        left summed in ``self.search_calls``.
+        :class:`~repro.engine.sharding.ShardedRunner`.  Determinism
+        contract: each start draws from its own ``SeedSequence``-spawned
+        stream and the dedup/beta-window selection runs in fixed start
+        order, so the kept MPFPs and their evaluation counts depend only
+        on ``n_starts`` — never on ``workers``.  The single-start default
+        keeps the classic single-stream RNG consumption.  The oracle
+        calls of every start, kept or not, are left summed in
+        ``self.search_calls``.
         """
         if self.n_starts == 1:
             results_all = [self._run_one_start(0, rng)]

@@ -6,19 +6,16 @@ set.  This is the structural-reliability convention; for a performance
 metric with an upper spec (read access time must not exceed ``t_spec``)
 the margin is ``g(u) = t_spec - t_access(u)``.
 
-The class also owns the two pieces of bookkeeping every honest comparison
-needs:
-
-* an **evaluation counter** — simulator calls are the cost unit of every
-  table in the paper, and hiding search-phase calls is the classic way
-  such comparisons go wrong;
-* an optional **cache**, so that re-evaluating the same vector through
-  the scalar :meth:`LimitState.g` is not double-billed.
+The class also owns the bookkeeping every honest comparison needs: an
+**evaluation counter**.  Simulator calls are the cost unit of every
+table in the paper, and hiding search-phase calls is the classic way
+such comparisons go wrong, so every evaluation is billed, a repeated
+point included.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,7 +25,7 @@ __all__ = ["LimitState"]
 
 
 class LimitState:
-    """Wrap a metric function into a counted, cached margin field.
+    """Wrap a metric function into a counted margin field.
 
     Parameters
     ----------
@@ -51,22 +48,6 @@ class LimitState:
         blocks (the batched 6T engine plugs in here).
     dim:
         Dimensionality of u-space.
-    cache:
-        Keep a dict of previously evaluated points (keyed on the rounded
-        vector bytes).  Scalar evaluations check and populate it, and so
-        does :meth:`g_batch`'s per-row fallback when there is no
-        ``batch_fn``; ``batch_fn`` batches neither read nor store it.
-        The MPFP search evaluates its gradient stencils and its first
-        Armijo steps in batches; only its smaller steps, its fallback
-        step and its flat-spot kicks go through the scalar path, so in
-        GIS the cache seldom hits.
-    cache_decimals:
-        Decimals the cache key is rounded to, so re-evaluations that
-        differ only in the last ulp land on one key.
-    cache_size:
-        Bound on the number of cached points (oldest entries evicted
-        first).  ``None`` disables the bound — fine for short runs, a
-        leak on long ones.
     """
 
     def __init__(
@@ -77,9 +58,6 @@ class LimitState:
         direction: str = "upper",
         name: str = "limit-state",
         batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        cache: bool = True,
-        cache_decimals: int = 12,
-        cache_size: Optional[int] = 1 << 18,
     ):
         if direction not in ("upper", "lower"):
             raise EstimationError(f"direction must be 'upper' or 'lower', got {direction!r}")
@@ -94,11 +72,6 @@ class LimitState:
         self.direction = direction
         self.name = name
         self.n_evals = 0
-        self._cache: Optional[Dict[bytes, float]] = {} if cache else None
-        self._cache_decimals = int(cache_decimals)
-        if cache_size is not None and int(cache_size) < 1:
-            raise EstimationError(f"cache_size must be >= 1 or None, got {cache_size!r}")
-        self._cache_size = None if cache_size is None else int(cache_size)
 
     # ------------------------------------------------------------------
 
@@ -107,34 +80,15 @@ class LimitState:
             return self.spec - metric
         return metric - self.spec
 
-    def _cache_key(self, u: np.ndarray) -> bytes:
-        # ``+ 0.0`` collapses -0.0 onto 0.0 so a sign-of-zero difference
-        # cannot split one point over two keys.
-        return (np.round(u, self._cache_decimals) + 0.0).tobytes()
-
-    def _cache_store(self, key: bytes, value: float) -> None:
-        if self._cache_size is not None and len(self._cache) >= self._cache_size:
-            # FIFO eviction: dicts iterate in insertion order, so the
-            # first key is the oldest entry.
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = value
-
     def metric(self, u: np.ndarray) -> float:
         """Raw (un-margined) metric at ``u``; counted like any evaluation."""
         u = np.asarray(u, dtype=float)
         self._check(u)
-        key = None
-        if self._cache is not None:
-            key = self._cache_key(u)
-            if key in self._cache:
-                return self._cache[key]
         if self._fn is not None:
             value = float(self._fn(u))
         else:
             value = float(np.asarray(self._batch_fn(u[None, :]), dtype=float)[0])
         self.n_evals += 1
-        if self._cache is not None:
-            self._cache_store(key, value)
         return value
 
     def g(self, u: np.ndarray) -> float:
@@ -142,11 +96,8 @@ class LimitState:
         return self._margin(self.metric(u))
 
     def g_batch(self, u_batch: np.ndarray) -> np.ndarray:
-        """Margins for a block of samples (uses ``batch_fn`` when given).
-
-        A ``batch_fn`` batch neither reads nor stores the point cache:
-        every row is billed and simulated.
-        """
+        """Margins for a block of samples (uses ``batch_fn`` when given);
+        every row is billed and simulated."""
         u_batch = np.atleast_2d(np.asarray(u_batch, dtype=float))
         if u_batch.shape[1] != self.dim:
             raise EstimationError(
@@ -161,8 +112,8 @@ class LimitState:
                 )
             self.n_evals += u_batch.shape[0]
             return self._margin(metrics)
-        # Fallback: one metric() pass per row (billed and cached there),
-        # margined once as a block rather than re-entering g() per row.
+        # Fallback: one metric() pass per row (billed there), margined
+        # once as a block rather than re-entering g() per row.
         metrics = np.array([self.metric(u) for u in u_batch])
         return self._margin(metrics)
 
@@ -259,10 +210,8 @@ class LimitState:
             )
 
     def reset_counter(self) -> None:
-        """Zero the evaluation counter (cache is cleared too)."""
+        """Zero the evaluation counter."""
         self.n_evals = 0
-        if self._cache is not None:
-            self._cache.clear()
 
     def warmup(self) -> None:
         """Build the compiled plans behind ``batch_fn`` without evaluating.
@@ -271,10 +220,9 @@ class LimitState:
         compiled SRAM workloads' evaluators build (or fetch from the plan
         cache) exactly the transient plans their ``__call__`` uses, and
         run none of them.  Nothing is evaluated, so the evaluation
-        counter and the point cache are untouched and an estimator run
-        after ``warmup()`` is bit-identical to one on a cold limit
-        state.  Limit states with nothing to compile (the analytic ones)
-        warm nothing.
+        counter is untouched and an estimator run after ``warmup()`` is
+        bit-identical to one on a cold limit state.  Limit states with
+        nothing to compile (the analytic ones) warm nothing.
         """
         prepare = getattr(self._batch_fn, "prepare", None)
         if prepare is not None:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro import api
 from repro.errors import RequestError

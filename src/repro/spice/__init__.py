@@ -8,13 +8,15 @@ original paper with a self-contained modified-nodal-analysis engine:
 * :mod:`repro.spice.mosfet` — smooth EKV-flavoured compact model with
   per-instance threshold/beta variation (vectorised; shared with the
   batched SRAM engine).
-* :mod:`repro.spice.dc` — Newton operating-point solver with gmin and
+* :mod:`repro.spice.dcop` — Newton operating-point solver with gmin and
   source stepping.
 * :mod:`repro.spice.transient` — trapezoidal/backward-Euler transient
   analysis with local-truncation-error step control.
 * :mod:`repro.spice.waveform` — waveform container and measurements.
-* :mod:`repro.spice.sensitivity` — finite-difference gradients of scalar
-  measurements with respect to named instance parameters.
+* :mod:`repro.spice.compile` — the batched circuit compiler
+  (:class:`~repro.spice.compile.CompiledTransient`): a netlist in, a
+  fused fixed-grid transient kernel over whole sample blocks out; every
+  sampled SRAM workload runs on it.
 * :mod:`repro.spice.diagnostics` — coded structural netlist lint
   (``lint_circuit``; the ``N0xx`` codes).
 * :mod:`repro.spice.audit` — compile-plan auditor (``audit_plan``; the

@@ -7,19 +7,14 @@ The statistical layer every sampler in :mod:`repro.highsigma` stands on:
 * :mod:`repro.variation.space` — the :class:`VariationSpace` mapping
   between the standard-normal **u-space** the samplers operate in and the
   per-device parameter perturbations the simulator consumes.
-* :mod:`repro.variation.correlated` — global (inter-die) + local
-  (Pelgrom mismatch) decomposition as extra shared u-axes.
 """
 
-from repro.variation.correlated import CorrelatedSpace, GlobalAxis
 from repro.variation.pelgrom import beta_mismatch_sigma, vth_mismatch_sigma
 from repro.variation.space import DeviceAxis, VariationSpace
 
 __all__ = [
     "DeviceAxis",
     "VariationSpace",
-    "CorrelatedSpace",
-    "GlobalAxis",
     "vth_mismatch_sigma",
     "beta_mismatch_sigma",
 ]

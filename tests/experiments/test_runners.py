@@ -40,7 +40,7 @@ class TestRunMethod:
         wl = Workload(
             name="impossible",
             make=lambda: LimitState(fn=lambda u: 0.0, spec=1.0, dim=3,
-                                    direction="upper", cache=False),
+                                    direction="upper"),
             exact_pfail=None,
             dim=3,
         )

@@ -120,6 +120,20 @@ class TestQuadratic:
         ls = QuadraticLimitState(beta=3.5, dim=6, kappa=0.0)
         assert ls.exact_pfail() == pytest.approx(stats.norm.sf(3.5), rel=1e-6)
 
+    def test_approaches_breitung_asymptote(self):
+        # Breitung's SORM, Phi(-beta) / (1 + beta kappa)^((d-1)/2), is exact
+        # as beta grows: the closed form's ratio to it must climb toward 1.
+        from scipy import stats
+
+        kappa, dim = 0.1, 8
+        ratios = []
+        for beta in (4.0, 6.0, 8.0, 10.0):
+            ls = QuadraticLimitState(beta=beta, dim=dim, kappa=kappa)
+            breitung = stats.norm.sf(beta) / (1 + beta * kappa) ** ((dim - 1) / 2)
+            ratios.append(ls.exact_pfail() / breitung)
+        assert np.all(np.diff(ratios) > 0)
+        assert 0.95 < ratios[-1] < 1.0
+
     def test_needs_two_dims(self):
         with pytest.raises(EstimationError):
             QuadraticLimitState(beta=3.0, dim=1)

@@ -32,8 +32,7 @@ class TestAdaptation:
         assert normal_var < tangent_var
 
     def test_never_failing_raises(self):
-        ls = LimitState(fn=lambda u: 0.0, spec=1.0, dim=3, direction="upper",
-                        cache=False)
+        ls = LimitState(fn=lambda u: 0.0, spec=1.0, dim=3, direction="upper")
         ce = CrossEntropyIS(ls, n_per_level=100, max_levels=3)
         with pytest.raises(SearchError):
             ce.adapt(np.random.default_rng(2))

@@ -81,7 +81,8 @@ class TestMultiStart:
 
     def test_parallel_multistart_matches_serial(self):
         """The sharded search stage's determinism contract: the kept
-        MPFPs depend only on n_starts, never on workers."""
+        MPFPs and their evaluation counts depend only on n_starts, never
+        on workers."""
         from repro.engine.sharding import fork_available
 
         def search(workers):
@@ -99,6 +100,7 @@ class TestMultiStart:
         for a, b in zip(serial, pooled):
             np.testing.assert_array_equal(a.u_star, b.u_star)
             assert a.beta == b.beta
+            assert a.n_evals == b.n_evals
 
     def test_parallel_multistart_bills_search_evals(self):
         from repro.engine.sharding import fork_available

@@ -1,4 +1,4 @@
-"""LimitState abstraction tests: conventions, counting, caching, gradients."""
+"""LimitState abstraction tests: conventions, counting, gradients."""
 
 import numpy as np
 import pytest
@@ -42,6 +42,10 @@ class TestConventions:
         with pytest.raises(EstimationError):
             LimitState(fn=lambda u: 0.0, spec=0, dim=0)
 
+    def test_needs_fn_or_batch_fn(self):
+        with pytest.raises(EstimationError):
+            LimitState(fn=None, spec=0, dim=1)
+
     def test_shape_check(self):
         with pytest.raises(EstimationError):
             make_upper(dim=3).g(np.zeros(2))
@@ -54,18 +58,12 @@ class TestCounting:
         ls.g(np.ones(3))
         assert ls.n_evals == 2
 
-    def test_cache_avoids_double_billing(self):
+    def test_repeated_point_is_billed_again(self):
+        # Every evaluation is simulated and billed, a repeated point too.
         ls = make_upper()
         u = np.array([1.0, 2.0, 3.0])
         ls.g(u)
         ls.g(u.copy())
-        assert ls.n_evals == 1
-
-    def test_cache_disabled(self):
-        ls = LimitState(fn=lambda u: 0.0, spec=0, dim=1, cache=False)
-        u = np.zeros(1)
-        ls.g(u)
-        ls.g(u)
         assert ls.n_evals == 2
 
     def test_batch_billing(self):
@@ -84,54 +82,18 @@ class TestCounting:
         ls.reset_counter()
         assert ls.n_evals == 0
 
-    def test_cache_key_rounds_ulp_differences(self):
-        # Regression: keys were raw u.tobytes(), so MPFP line-search
-        # re-evaluations differing in the last ulp never hit the cache.
+    def test_fallback_billed_once_per_row(self):
+        # No batch_fn: the fallback routes through one metric() pass per
+        # row (billed there) without re-entering g per row.
         ls = make_upper()
-        u = np.array([1.0 / 3.0, 2.0, 3.0])
-        ls.g(u)
-        ls.g(u + 1e-15)
-        assert ls.n_evals == 1
-
-    def test_cache_key_negative_zero(self):
-        ls = make_upper()
-        ls.g(np.array([0.0, 0.0, 0.0]))
-        ls.g(np.array([-1e-16, 0.0, 0.0]))  # rounds to -0.0 -> same key
-        assert ls.n_evals == 1
-
-    def test_cache_distinguishes_real_differences(self):
-        ls = make_upper()
-        ls.g(np.array([1.0, 0.0, 0.0]))
-        ls.g(np.array([1.0 + 1e-9, 0.0, 0.0]))  # above the 12-decimal round
+        block = np.array([[1.0, 0, 0], [2.0, 0, 0]])
+        out = ls.g_batch(block)
+        np.testing.assert_allclose(out, [1.0, 0.0])
         assert ls.n_evals == 2
 
-    def test_cache_size_bound(self):
-        ls = LimitState(
-            fn=lambda u: float(u[0]), spec=2.0, dim=1, cache_size=4
-        )
-        for i in range(10):
-            ls.g(np.array([float(i)]))
-        assert len(ls._cache) == 4
-        # The oldest points were evicted: re-evaluating one re-bills.
-        ls.g(np.array([0.0]))
-        assert ls.n_evals == 11
-        # The newest points are still cached.
-        ls.g(np.array([9.0]))
-        assert ls.n_evals == 11
-
-    def test_cache_size_validation(self):
-        with pytest.raises(EstimationError):
-            LimitState(fn=lambda u: 0.0, spec=0, dim=1, cache_size=0)
-
-    def test_unbounded_cache_opt_in(self):
-        ls = LimitState(fn=lambda u: float(u[0]), spec=2.0, dim=1, cache_size=None)
-        for i in range(10):
-            ls.g(np.array([float(i)]))
-        assert len(ls._cache) == 10
-
-
-class TestBatchCachePopulation:
-    def make_counted(self, cache=True):
+    def test_stencil_is_one_batch_call(self):
+        # A central-difference stencil (2 * dim rows) reaches batch_fn as
+        # one block, every row billed; the scalar fn is never called.
         calls = {"fn": 0, "batch": 0}
 
         def fn(u):
@@ -142,35 +104,46 @@ class TestBatchCachePopulation:
             calls["batch"] += 1
             return ub[:, 0]
 
-        ls = LimitState(fn=fn, batch_fn=batch_fn, spec=2.0, dim=2, cache=cache)
-        return ls, calls
+        ls = LimitState(fn=fn, batch_fn=batch_fn, spec=2.0, dim=2)
+        ls.g_batch(ls.fd_stencil(np.array([0.5, 0.0])))
+        assert ls.n_evals == 4
+        assert calls == {"fn": 0, "batch": 1}
 
-    def test_stencil_batch_leaves_cache_empty(self):
-        # A central-difference stencil (2 * dim rows) is simulated and
-        # billed, and no row of it enters the point cache: no batch
-        # reads the cache, and the MPFP search's scalar steps revisit no
-        # stencil point.
-        ls, calls = self.make_counted()
-        stencil = ls.fd_stencil(np.array([0.5, 0.0]))
-        ls.g_batch(stencil)
-        assert ls.n_evals == 4 and calls["batch"] == 1
-        assert ls._cache == {}
+    def test_scalar_eval_without_fn_is_a_one_row_batch(self):
+        shapes = []
 
-    def test_batch_population_disabled_with_cache_off(self):
-        ls, _ = self.make_counted(cache=False)
-        ls.g_batch(np.zeros((3, 2)))
-        assert ls._cache is None
+        def batch_fn(ub):
+            shapes.append(ub.shape)
+            return ub[:, 0]
 
-    def test_fallback_billed_once_per_row_and_cached(self):
-        # No batch_fn: the fallback routes through one metric() pass per
-        # row (billed and cached there) without re-entering g per row.
+        ls = LimitState(fn=None, batch_fn=batch_fn, spec=2.0, dim=2)
+        assert ls.g(np.array([0.5, 0.0])) == pytest.approx(1.5)
+        assert shapes == [(1, 2)]
+        assert ls.n_evals == 1
+
+
+class TestWarmup:
+    def test_prepares_batch_fn_without_evaluating(self):
+        class Evaluator:
+            prepared = 0
+
+            def prepare(self):
+                self.prepared += 1
+
+            def __call__(self, ub):
+                raise AssertionError("warmup must not evaluate")
+
+        evaluator = Evaluator()
+        ls = LimitState(fn=None, batch_fn=evaluator, spec=0.0, dim=2)
+        ls.warmup()
+        assert evaluator.prepared == 1
+        assert ls.n_evals == 0
+
+    def test_nothing_to_prepare_is_a_no_op(self):
         ls = make_upper()
-        block = np.array([[1.0, 0, 0], [2.0, 0, 0]])
-        out = ls.g_batch(block)
-        np.testing.assert_allclose(out, [1.0, 0.0])
-        assert ls.n_evals == 2
-        ls.g(np.array([2.0, 0, 0]))
-        assert ls.n_evals == 2  # cached by the fallback pass
+        ls.warmup()
+        assert ls.n_evals == 0
+        assert ls.g(np.array([1.0, 0, 0])) == pytest.approx(1.0)
 
 
 class TestBatchConsistency:
@@ -215,7 +188,6 @@ class TestGradients:
             batch_fn=lambda ub: ub @ a + 0.5 * np.sum(ub * ub, axis=1),
             spec=1.0,
             dim=dim,
-            cache=False,
         ), a
 
     def test_central_gradient_accuracy(self):
@@ -242,6 +214,46 @@ class TestGradients:
         ls, _ = self.quad_ls()
         ls.fd_gradient(np.zeros(4), step=0.1, scheme="forward")
         assert ls.n_evals == 5  # centre + d
+
+    def test_central_exact_on_quadratics(self):
+        # Central differences cancel a quadratic's curvature term exactly
+        # (to roundoff), whatever the step.
+        ls, a = self.quad_ls()
+        u = np.array([1.0, 2.0, -1.0, 0.5])
+        np.testing.assert_allclose(ls.fd_gradient(u, step=0.5), -(a + u), rtol=1e-10)
+
+    def test_forward_reuses_given_centre_margin(self):
+        ls, _ = self.quad_ls()
+        u = np.array([0.5, 0.5, 0.0, -1.0])
+        g0 = ls.g(u)
+        ls.reset_counter()
+        grad = ls.fd_gradient(u, step=1e-6, scheme="forward", g0=g0)
+        assert ls.n_evals == 4  # the d stencil rows only
+        fresh, _ = self.quad_ls()
+        np.testing.assert_array_equal(
+            grad, fresh.fd_gradient(u, step=1e-6, scheme="forward")
+        )
+
+    def test_spsa_exact_in_one_dimension(self):
+        # With a single coordinate the perturbation cancels exactly.
+        ls = LimitState(fn=None, batch_fn=lambda ub: 3.0 * ub[:, 0], spec=0.0, dim=1)
+        grad = ls.spsa_gradient(np.zeros(1), np.random.default_rng(0), repeats=1)
+        np.testing.assert_allclose(grad, [-3.0], rtol=1e-8)
+
+    def test_spsa_unbiased_on_linear_margin(self):
+        # Single repeats are noisy (cross-terms a_j * D_j / D_i), but the
+        # average over many repeats converges to the true gradient.
+        a = np.array([1.0, -2.0, 0.5])
+        ls = LimitState(fn=None, batch_fn=lambda ub: ub @ a, spec=0.0, dim=3)
+        grad = ls.spsa_gradient(np.zeros(3), np.random.default_rng(0), repeats=2000)
+        np.testing.assert_allclose(grad, -a, atol=0.15)
+
+    def test_spsa_converges_on_quadratic(self):
+        ls, a = self.quad_ls()
+        u = np.array([1.0, -1.0, 0.5, 0.0])
+        grad = ls.spsa_gradient(u, np.random.default_rng(1), step=1e-4, repeats=256)
+        exact = -(a + u)
+        assert np.linalg.norm(grad - exact) / np.linalg.norm(exact) < 0.35
 
     def test_unknown_scheme(self):
         ls, _ = self.quad_ls()

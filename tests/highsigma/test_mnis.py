@@ -45,7 +45,7 @@ class TestEscalation:
 
     def test_gives_up_after_retries(self):
         ls = LimitState(fn=lambda u: 0.0, spec=1.0, dim=3, direction="upper",
-                        name="never-fails", cache=False)
+                        name="never-fails")
         mnis = MinimumNormIS(ls, n_presample=100, max_retries=1)
         with pytest.raises(SearchError):
             mnis.presample_centre(np.random.default_rng(4))

@@ -9,6 +9,7 @@ from repro.highsigma.analytic import (
     QuadraticLimitState,
     UnionLimitState,
 )
+from repro.highsigma.limitstate import LimitState
 from repro.highsigma.mpfp import MpfpOptions, MpfpSearch
 
 
@@ -102,6 +103,14 @@ class TestOptionsAndModes:
         res = MpfpSearch(ls, options=opts).run()
         assert not res.converged
         assert res.iterations <= 3
+
+    def test_no_boundary_returns_unconverged(self):
+        # A margin field that never crosses zero has no design point: the
+        # search must say so rather than report a beta, and bill what it ran.
+        ls = LimitState(fn=lambda u: 0.0, spec=1.0, dim=3)
+        res = MpfpSearch(ls).run()
+        assert not res.converged
+        assert res.n_evals == ls.n_evals > 0
 
     def test_trajectory_recorded(self):
         ls = LinearLimitState(beta=3.0, dim=3)

@@ -37,7 +37,7 @@ class TestSearch:
 
     def test_gives_up_eventually(self):
         ls = LimitState(fn=lambda u: 0.0, spec=1.0, dim=3, direction="upper",
-                        name="never-fails", cache=False)
+                        name="never-fails")
         sph = SphericalSearchIS(ls, n_directions=4, r_max=3.0, max_escalations=1)
         with pytest.raises(SearchError):
             sph.search_centre(np.random.default_rng(3))
@@ -47,7 +47,7 @@ class TestSearch:
         # the ceiling (3.0 -> 4.5); the error must report *those* values,
         # not the never-attempted next escalation's 64 / 6.75.
         ls = LimitState(fn=lambda u: 0.0, spec=1.0, dim=3, direction="upper",
-                        name="never-fails", cache=False)
+                        name="never-fails")
         sph = SphericalSearchIS(ls, n_directions=4, r_max=3.0, max_escalations=1)
         with pytest.raises(SearchError, match=r"radius 4\.5 using 16 directions"):
             sph.search_centre(np.random.default_rng(3))
@@ -65,7 +65,7 @@ class TestSearch:
         # boundary (g = 0) while dir (0,1) is well inside (g = -1).
         ls = LimitState(
             fn=None, batch_fn=lambda u: 1.0 - (u[:, 0] + 2.0 * u[:, 1]),
-            spec=0.0, dim=2, direction="lower", cache=False,
+            spec=0.0, dim=2, direction="lower",
         )
         sph = SphericalSearchIS(ls, n_directions=2, r_start=1.0, r_step=0.5)
         centre, radius = sph.search_centre(FixedDirections())

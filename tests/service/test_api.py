@@ -55,6 +55,73 @@ class TestValidation:
             ).validate()
         assert exc.value.code == "A003"
 
+    @pytest.mark.parametrize(
+        "workload, spec, knobs",
+        [
+            ("read", 5e-11, {"n_steps": 0}),
+            ("read", 5e-11, {"n_steps": -5}),
+            ("read", 5e-11, {"n_steps": 2.5}),
+            ("column-read", 3e-11, {"n_leakers": -1}),
+            ("column-read", 3e-11, {"n_leakers": 0}),
+            ("analytic-linear", 4.0, {"dim": 0}),
+            ("analytic-linear", 4.0, {"dim": -3}),
+            ("analytic-linear", 4.0, {"dim": 2.5}),
+            ("analytic-linear", 4.0, {"dim": "8"}),
+            ("analytic-linear", 4.0, {"dim": True}),
+            ("analytic-linear", 4.0, {"dim": None}),
+            ("analytic-quadratic", 4.0, {"kappa": "x"}),
+            ("read", 5e-11, {"n_steps": True}),
+            ("read", 5e-11, {"vdd": True}),
+            ("read", 5e-11, {"vdd": float("nan")}),
+            ("read", 5e-11, {"vdd": float("inf")}),
+            ("read", 5e-11, {"include_beta": 1}),
+            ("read", 5e-11, {"kernel": 1}),
+            ("column-read", 3e-11, {"cbl": "x"}),
+            ("column-read", 3e-11, {"cbl": float("nan")}),
+            ("column-read", 3e-11, {"cbl": True}),
+        ],
+    )
+    def test_knob_of_the_wrong_type_is_a003(self, workload, spec, knobs):
+        # A knob's value must match the type of the factory's default:
+        # each of these once ran to a confident estimate or a builtin
+        # error deep inside the factory.
+        with pytest.raises(RequestError) as exc:
+            api.EstimateRequest(workload=workload, spec=spec, knobs=knobs).validate()
+        assert exc.value.code == "A003"
+
+    def test_every_knob_has_a_factory_default(self):
+        # A knob's accepted type is read from its default, so a knob
+        # without one could not be checked.
+        import inspect
+
+        for workload in api.list_workloads():
+            defaults = workload.knob_defaults
+            assert set(defaults) == set(workload.knobs)
+            assert all(v is not inspect.Parameter.empty for v in defaults.values())
+
+    def test_knob_defaults_are_read_once_per_workload(self, monkeypatch):
+        import inspect
+
+        from repro.experiments.workloads import get_workload
+
+        assert get_workload("read").knob_defaults  # read before counting
+        calls = []
+        real = inspect.signature
+        monkeypatch.setattr(inspect, "signature", lambda f: calls.append(f) or real(f))
+        for n_steps in (100, 200):
+            api.EstimateRequest(workload="read", spec=5e-11, knobs={"n_steps": n_steps}).validate()
+        assert calls == []
+
+    def test_knob_values_matching_their_defaults_pass(self):
+        knobs = {"vdd": 1, "n_steps": 200, "include_beta": True, "kernel": "reference"}
+        api.EstimateRequest(workload="read", spec=5e-11, knobs=knobs).validate()
+        api.EstimateRequest(
+            workload="column-read", spec=3e-11, knobs={"cbl": None, "n_leakers": 3}
+        ).validate()
+        api.EstimateRequest(
+            workload="array-read", spec=3e-11, knobs={"cbl": 1e-14, "cdl": None}
+        ).validate()
+
     def test_unsupported_method_is_a004(self):
         with pytest.raises(RequestError) as exc:
             linear(method="magic").validate()

@@ -16,11 +16,11 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
 from repro import api
-from repro.errors import RequestError
 from repro.service import ServiceApp, ServiceClient
 from repro.spice.plan import default_plan_cache, reset_default_plan_cache
 
@@ -43,10 +43,33 @@ def linear(**overrides):
     return api.EstimateRequest(**base)
 
 
-def slow(seed=0):
-    # Big-budget analytic job: ~a second of sampling, no compile — used
-    # to hold a worker busy while concurrency behaviour is observed.
-    return linear(budget=3_000_000, rel_err=None, seed=seed)
+#: The budget that marks a job as held by the ``gate`` fixture.
+HELD_BUDGET = 2001
+
+
+def held(seed=0):
+    """A small analytic job that the ``gate`` fixture holds in prepare."""
+    return linear(budget=HELD_BUDGET, seed=seed)
+
+
+@pytest.fixture()
+def gate(monkeypatch):
+    """Hold every ``held()`` job in ``api.prepare`` until the test sets
+    ``gate.release``, so the job keeps its worker busy for exactly as
+    long as the test needs.  ``gate.entered`` is set once a held job is
+    running.  Released jobs prepare and run normally and end ``done``."""
+    gate = SimpleNamespace(entered=threading.Event(), release=threading.Event())
+    real_prepare = api.prepare
+
+    def gated_prepare(request):
+        if request.budget == HELD_BUDGET:
+            gate.entered.set()
+            gate.release.wait(timeout=60.0)
+        return real_prepare(request)
+
+    monkeypatch.setattr(api, "prepare", gated_prepare)
+    yield gate
+    gate.release.set()
 
 
 class TestWireContract:
@@ -160,35 +183,39 @@ class TestLifecycle:
         direct = api.estimate(linear(workers=64, n_shards=4))
         assert api.EstimateResult.from_json(final["result"]).identical_to(direct)
 
-    def test_cancel_queued_job(self):
+    def test_cancel_queued_job(self, gate):
         app = ServiceApp(workers_total=1)
         try:
             client = ServiceClient(app)
-            running = client.submit(slow())
+            running = client.submit(held())
             queued = client.submit(linear(seed=9))
+            assert gate.entered.wait(timeout=30.0)
             status, payload = client.delete(f"/v1/jobs/{queued['job_id']}")
             assert status == 200
-            # Either it was still queued (now cancelled) or it had
-            # already started (cancel is a no-op then) — both legal;
-            # the job must still settle either way.
+            # The held job keeps the only worker, so the second job is
+            # still queued and the cancel lands; the job settles.
             final = client.wait(queued["job_id"])
-            assert final["status"] in ("cancelled", "done")
+            assert final["status"] == "cancelled"
+            gate.release.set()
             assert client.wait(running["job_id"])["status"] == "done"
         finally:
+            gate.release.set()
             app.close(drain=True)
 
 
 class TestBackpressure:
-    def test_queue_full_is_503_a007(self):
+    def test_queue_full_is_503_a007(self, gate):
         app = ServiceApp(workers_total=1, queue_limit=1)
         try:
             client = ServiceClient(app)
-            first = client.submit(slow())
+            first = client.submit(held())
             status, payload = client.post("/v1/jobs", linear(seed=1).to_json())
             assert status == 503
             assert payload["error"]["code"] == "A007"
+            gate.release.set()
             assert client.wait(first["job_id"])["status"] == "done"
         finally:
+            gate.release.set()
             app.close(drain=True)
 
     def test_shutdown_refuses_with_a007(self):
@@ -206,15 +233,27 @@ class TestBackpressure:
         finals = [client.get(f"/v1/jobs/{e['job_id']}")[1] for e in envelopes]
         assert [f["status"] for f in finals] == ["done"] * 3
 
-    def test_no_drain_cancels_queued_jobs(self):
+    def test_no_drain_cancels_queued_jobs(self, gate):
         app = ServiceApp(workers_total=1)
         client = ServiceClient(app)
-        envelopes = [client.submit(slow(seed=s)) for s in range(3)]
-        app.close(drain=False)
+        envelopes = [client.submit(held(seed=s)) for s in range(3)]
+        assert gate.entered.wait(timeout=30.0)
+        # close(drain=False) cancels the queued jobs, then waits for the
+        # running one: release it only once the cancels have landed.
+        closer = threading.Thread(target=app.close, kwargs={"drain": False})
+        closer.start()
+        try:
+            for envelope in envelopes[1:]:
+                client.wait(envelope["job_id"], timeout=30.0)
+        finally:
+            gate.release.set()
+            closer.join(timeout=60.0)
+        assert not closer.is_alive()
         statuses = [client.get(f"/v1/jobs/{e['job_id']}")[1]["status"]
                     for e in envelopes]
         assert all(s in ("done", "cancelled") for s in statuses)
-        assert "cancelled" in statuses  # 1 worker, 3 slow jobs: some queued
+        assert "cancelled" in statuses  # 1 worker, 3 held jobs: some queued
+        assert statuses[0] == "done"  # the running job always finishes
 
 
 class TestIdentityAndCompileSharing:

@@ -60,6 +60,47 @@ class TestRcAnalytic:
         assert res.waveform("mid").vmax() == pytest.approx(0.5, abs=0.03)
 
 
+def inverter_delays(dvth_n=0.0, dvth_p=0.0):
+    """(falling-output, rising-output) delays of a loaded inverter whose
+    NMOS and PMOS thresholds are shifted by ``dvth_n`` and ``dvth_p``."""
+    c = Circuit("inv")
+    c.add(VoltageSource("vdd", "vdd", "0", 1.0))
+    c.add(VoltageSource("vin", "in", "0", pulse(0, 1, delay=0.2e-9, rise=20e-12, width=1e-9)))
+    c.add(Mosfet("mp", "out", "in", "vdd", "vdd", pmos_45nm(), w=180e-9, l=50e-9))
+    c.add(Mosfet("mn", "out", "in", "0", "0", nmos_45nm(), w=120e-9, l=50e-9))
+    c.add(Capacitor("cl", "out", "0", 2e-15))
+    c["mn"].delta_vth = dvth_n
+    c["mp"].delta_vth = dvth_p
+    res = run_transient(c, 2.5e-9)
+    vin, vout = res.waveform("in"), res.waveform("out")
+    return (
+        vin.delay_to(vout, 0.5, 0.5, "rise", "fall"),
+        vin.delay_to(vout, 0.5, 0.5, "fall", "rise"),
+    )
+
+
+class TestThresholdSensitivity:
+    # Device-level physics the variation axes rely on: a higher threshold
+    # weakens the device that drives the edge.
+    def test_nmos_vth_slows_falling_output(self):
+        fast, _ = inverter_delays(dvth_n=-0.03)
+        nominal, _ = inverter_delays()
+        slow, _ = inverter_delays(dvth_n=0.03)
+        assert fast < nominal < slow
+
+    def test_pmos_vth_slows_rising_output(self):
+        _, fast = inverter_delays(dvth_p=-0.03)
+        _, nominal = inverter_delays()
+        _, slow = inverter_delays(dvth_p=0.03)
+        assert fast < nominal < slow
+
+    def test_pmos_barely_moves_falling_output(self):
+        # The PMOS is off through most of a falling transition.
+        n_swing = inverter_delays(dvth_n=0.03)[0] - inverter_delays(dvth_n=-0.03)[0]
+        p_swing = inverter_delays(dvth_p=0.03)[0] - inverter_delays(dvth_p=-0.03)[0]
+        assert abs(p_swing) < 0.1 * abs(n_swing)
+
+
 class TestInitialConditions:
     def test_ic_clamp_holds_node(self):
         circuit = rc_circuit(src=dc(0.0))

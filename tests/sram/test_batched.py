@@ -33,6 +33,17 @@ class TestReadOperation:
         separate = np.array([engine.read(dv[i : i + 1]).metric[0] for i in range(5)])
         np.testing.assert_allclose(together, separate, rtol=1e-10)
 
+    def test_shared_nmos_shift_slows_read(self, engine):
+        # +40 mV on every NMOS (a slow global NMOS corner) slows the read;
+        # the same shift on both pull-ups barely moves it.
+        nmos = [1, 2, 4, 5]  # columns of CELL_DEVICE_ORDER
+        dv = np.zeros((3, 6))
+        dv[1, nmos] = 0.04
+        dv[2, [0, 3]] = 0.04
+        base, slow, pmos = engine.read(dv).metric
+        assert slow > 1.1 * base
+        assert abs(pmos - base) < 0.01 * base
+
     def test_chunking_equivalence(self):
         rng = np.random.default_rng(8)
         dv = rng.normal(0, 0.03, size=(30, 6))

@@ -100,6 +100,12 @@ class TestArgumentValidation:
         assert main(["read-sigma", "--target-sigma", "4", "--system"]) == 2
         assert "--spec-ps" in capsys.readouterr().out
 
+    def test_non_positive_n_steps_rejected(self, capsys):
+        # Refused by request validation (A003) before anything compiles.
+        code = main(["read-sigma", "--spec-ps", "55", "--n-steps", "0"])
+        assert code == 2
+        assert "n_steps" in capsys.readouterr().out
+
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -158,7 +158,6 @@ class TestNoBareBuiltins:
 
     def test_config_rejections(self):
         from repro.highsigma.sigma import array_yield
-        from repro.spice.sensitivity import mosfet_vth_gradient
         from repro.sram.column import ColumnConfig, ReadColumn
         from repro.variation.pelgrom import vth_mismatch_sigma
 
@@ -167,9 +166,6 @@ class TestNoBareBuiltins:
         self._assert_typed(lambda: vth_mismatch_sigma(None, -1.0, 1.0))
         self._assert_typed(
             lambda: ReadColumn(config=ColumnConfig(leaker_data="nope"))
-        )
-        self._assert_typed(
-            lambda: mosfet_vth_gradient(None, None, [], scheme="sideways")
         )
 
     def test_sram_config_rejections(self):

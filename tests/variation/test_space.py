@@ -70,6 +70,17 @@ class TestApplyToCircuit:
         assert all(m.delta_vth == 0.0 for m in circuit.mosfets())
         assert all(m.beta_mult == 1.0 for m in circuit.mosfets())
 
+    def test_apply_sets_beta_mult(self):
+        circuit = build_cell()
+        space = VariationSpace.from_mosfets(circuit, include_beta=True)
+        k = space.labels.index("m_pd_l.beta")
+        u = np.zeros(space.dim)
+        u[k] = -2.0
+        space.apply(circuit, u)
+        assert circuit["m_pd_l"].beta_mult == pytest.approx(1.0 - 2.0 * space.axes[k].sigma)
+        assert circuit["m_pd_l"].delta_vth == 0.0
+        assert all(m.beta_mult == 1.0 for m in circuit.mosfets() if m.name != "m_pd_l")
+
     def test_from_mosfets_dim(self):
         circuit = build_cell()
         assert VariationSpace.from_mosfets(circuit).dim == 6
@@ -93,6 +104,26 @@ class TestBatchMatrices:
         space = VariationSpace.from_mosfets(circuit)  # vth only
         mat = space.beta_matrix(np.ones((2, 6)), CELL_DEVICE_ORDER)
         np.testing.assert_allclose(mat, 1.0)
+
+    def test_vth_matrix_matches_to_physical(self):
+        # Every axis moved at once: each device column carries its own shift.
+        space = VariationSpace.from_mosfets(build_cell())
+        u = np.random.default_rng(0).normal(size=space.dim)
+        mat = space.vth_matrix(u[None, :], CELL_DEVICE_ORDER)
+        phys = space.to_physical(u)
+        for j, name in enumerate(CELL_DEVICE_ORDER):
+            assert mat[0, j] == pytest.approx(phys[name]["delta_vth"])
+
+    def test_beta_matrix_multiplicative(self):
+        space = VariationSpace.from_mosfets(build_cell(), include_beta=True)
+        k = space.labels.index("m_pd_l.beta")
+        u = np.zeros((1, space.dim))
+        u[0, k] = 1.0
+        mat = space.beta_matrix(u, CELL_DEVICE_ORDER)
+        cols = {n: j for j, n in enumerate(CELL_DEVICE_ORDER)}
+        assert mat[0, cols["m_pd_l"]] == pytest.approx(1.0 + space.axes[k].sigma)
+        assert mat[0, cols["m_pu_l"]] == 1.0
+        np.testing.assert_allclose(space.vth_matrix(u, CELL_DEVICE_ORDER), 0.0)
 
     def test_wrong_batch_width_rejected(self):
         circuit = build_cell()

@@ -10,6 +10,11 @@ array slice (sparse assembly + per-column Schur peel on the fused
 path) run the same sweep.  The 6T section also pins retirement at the
 crossing: the metric-only views must read bit-equal metrics with and
 without it, and it reports the sample-steps each engine integrated.
+Its 13-row case runs the width of an MPFP search call, which solves
+through LAPACK below the compiler's ``_UNROLLED_MIN_BATCH``: it must
+beat the reference, agree with it, stay within 1e-9 of the same rows
+solved inside the wide batch, and keep retirement bit-equal.  The
+section reports 1-row and 13-row call times without gating them.
 
 Engine construction and inputs live in each section's ``setup`` so the
 measured phase times kernels, not compilation.
@@ -35,6 +40,15 @@ def _best_of(fn, repeat):
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
+
+
+#: Rows of the 6T section's small case: the MPFP search's call width.
+_SEARCH_ROWS = 13
+
+
+def _rel_diff(a, b):
+    """Largest relative difference of ``a`` from the nonzero ``b``."""
+    return float(np.max(np.abs(a - b) / np.abs(b)))
 
 
 def _setup_6t(n=512, n_steps=300, sigma_vth=0.03, repeat=2):
@@ -75,28 +89,63 @@ def _setup_6t(n=512, n_steps=300, sigma_vth=0.03, repeat=2):
         GateSpec("kernel-6t.write_trip_times_retire_bit_equal", "bool_true",
                  key="write_trip_times_retire_bit_equal",
                  description="retiring at the crossing leaves trip times bit-equal"),
+        GateSpec("kernel-6t.read_small_fast_vs_reference", "ratio_min",
+                 key="read_small_fast_vs_reference", threshold=1.0,
+                 description="13-row fused read (LAPACK solves) vs reference"),
+        GateSpec("kernel-6t.write_small_fast_vs_reference", "ratio_min",
+                 key="write_small_fast_vs_reference", threshold=1.0,
+                 description="13-row fused write (LAPACK solves) vs reference"),
+        GateSpec("kernel-6t.read_small_fast_metric_agrees", "ratio_max",
+                 key="read_small_fast_rel_metric_diff", threshold=1e-6),
+        GateSpec("kernel-6t.write_small_fast_metric_agrees", "ratio_max",
+                 key="write_small_fast_rel_metric_diff", threshold=1e-6),
+        GateSpec("kernel-6t.read_small_vs_wide_batch", "ratio_max",
+                 key="read_small_vs_wide_rel_diff", threshold=1e-9,
+                 description="13 rows via LAPACK vs the same rows unrolled"),
+        GateSpec("kernel-6t.write_small_vs_wide_batch", "ratio_max",
+                 key="write_small_vs_wide_rel_diff", threshold=1e-9,
+                 description="13 rows via LAPACK vs the same rows unrolled"),
+        GateSpec("kernel-6t.read_access_times_small_retire_bit_equal",
+                 "bool_true", key="read_access_times_small_retire_bit_equal",
+                 description="13-row access times bit-equal with retirement"),
     ),
 )
 def kernel_6t(ctx, n=512, n_steps=300, sigma_vth=0.03, repeat=2):
-    """Read and write batches through the three 6T engine variants, and
-    the metric-only views with and without retirement."""
+    """Read and write batches through the three 6T engine variants, the
+    metric-only views with and without retirement, and the same at the
+    search's call width (the first :data:`_SEARCH_ROWS` rows)."""
     values = {}
+    small = slice(0, _SEARCH_ROWS)
     for mode in ("read", "write"):
-        results = {}
+        results, small_results = {}, {}
         for name, eng in ctx.engines.items():
             op = eng.read if mode == "read" else eng.write
             best, results[name] = _best_of(
                 lambda op=op: op(ctx.dvth, ctx.bmult), repeat
             )
             values[f"{mode}_{name}_samples_per_s"] = round(n / best, 1)
+            if name == "fast_retire":
+                continue
+            best, small_results[name] = _best_of(
+                lambda op=op: op(ctx.dvth[small], ctx.bmult[small]), repeat
+            )
+            values[f"{mode}_small_{name}_samples_per_s"] = round(_SEARCH_ROWS / best, 1)
         ref = results["reference"].metric
         for name in ("fast", "fast_retire"):
-            rel = float(np.max(np.abs(results[name].metric - ref) / np.abs(ref)))
-            values[f"{mode}_{name}_rel_metric_diff"] = rel
-        values[f"{mode}_fast_vs_reference"] = round(
-            values[f"{mode}_fast_samples_per_s"]
-            / values[f"{mode}_reference_samples_per_s"], 3
+            values[f"{mode}_{name}_rel_metric_diff"] = _rel_diff(
+                results[name].metric, ref
+            )
+        values[f"{mode}_small_fast_rel_metric_diff"] = _rel_diff(
+            small_results["fast"].metric, small_results["reference"].metric
         )
+        values[f"{mode}_small_vs_wide_rel_diff"] = _rel_diff(
+            small_results["fast"].metric, results["fast"].metric[small]
+        )
+        for tag in ("", "small_"):
+            values[f"{mode}_{tag}fast_vs_reference"] = round(
+                values[f"{mode}_{tag}fast_samples_per_s"]
+                / values[f"{mode}_{tag}reference_samples_per_s"], 3
+            )
     for view in ("read_access_times", "write_trip_times"):
         metrics = {}
         for name in ("fast", "fast_retire"):
@@ -109,6 +158,23 @@ def kernel_6t(ctx, n=512, n_steps=300, sigma_vth=0.03, repeat=2):
         values[f"{view}_retire_bit_equal"] = bool(
             np.array_equal(metrics["fast"], metrics["fast_retire"])
         )
+    small_times = {
+        name: ctx.engines[name].read_access_times(ctx.dvth[small], ctx.bmult[small])
+        for name in ("fast", "fast_retire")
+    }
+    values["read_access_times_small_retire_bit_equal"] = bool(
+        np.array_equal(small_times["fast"], small_times["fast_retire"])
+    )
+    # The search's call widths on the production (retiring) engine.
+    eng = ctx.engines["fast_retire"]
+    for view in ("read_access_times", "write_trip_times"):
+        for rows in (1, _SEARCH_ROWS):
+            best, _ = _best_of(
+                lambda view=view, rows=rows: getattr(eng, view)(
+                    ctx.dvth[:rows], ctx.bmult[:rows]
+                ), repeat,
+            )
+            values[f"{view}_{rows}_row_ms"] = round(1e3 * best, 3)
     return values
 
 

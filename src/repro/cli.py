@@ -394,6 +394,18 @@ def _report_plan_cache(cache) -> None:
     )
 
 
+def _build_request(args, workload: str, spec: float, knobs: dict):
+    """The :class:`~repro.api.EstimateRequest` a sigma subcommand runs."""
+    from repro import api
+
+    return api.EstimateRequest(
+        workload=workload, spec=spec, method="gis", seed=args.seed,
+        budget=args.budget, rel_err=args.rel_err, n_starts=args.starts,
+        workers=args.workers, n_shards=args.shards, retries=args.retries,
+        shard_timeout=args.shard_timeout, knobs=knobs,
+    )
+
+
 def _run_request(args, workload: str, spec: float, knobs: dict):
     """Execute one sigma subcommand through the :mod:`repro.api` facade.
 
@@ -404,12 +416,7 @@ def _run_request(args, workload: str, spec: float, knobs: dict):
     """
     from repro import api
 
-    request = api.EstimateRequest(
-        workload=workload, spec=spec, method="gis", seed=args.seed,
-        budget=args.budget, rel_err=args.rel_err, n_starts=args.starts,
-        workers=args.workers, n_shards=args.shards, retries=args.retries,
-        shard_timeout=args.shard_timeout, knobs=knobs,
-    )
+    request = _build_request(args, workload, spec, knobs)
     runner = _make_runner(args)
     try:
         result = api.estimate(request, runner=runner)
@@ -435,6 +442,14 @@ def _run_sigma(args, kind: str) -> int:
     calibrate = calibrate_read_spec if kind == "read" else calibrate_write_spec
     system = kind == "read" and getattr(args, "system", False)
 
+    if system:
+        workload = "system-read"
+        knobs = {"vdd": args.vdd, "n_steps": args.n_steps,
+                 "kernel": args.kernel, "sa_model": args.sa_model}
+    else:
+        workload = kind
+        knobs = {"vdd": args.vdd, "n_steps": args.n_steps, "kernel": args.kernel}
+
     if args.spec_ps is not None:
         spec = args.spec_ps * 1e-12
         note = ""
@@ -443,21 +458,18 @@ def _run_sigma(args, kind: str) -> int:
             print("error: --system needs an explicit --spec-ps "
                   "(calibration runs on the single-cell workload)")
             return 2
+        # Refuse bad flags (A0xx) before the calibration sweep simulates
+        # with them; the spec is all calibration adds to the request.
+        _build_request(args, workload, 0.0, knobs).validate()
         if not args.json:
             print(f"calibrating {kind} spec for {args.target_sigma:g} sigma ...")
         spec = calibrate(
             args.target_sigma, n_steps=args.n_steps, vdd=args.vdd, kernel=args.kernel
         )
         note = f"  (calibrated for {args.target_sigma:g} sigma)"
-
     if system:
-        workload = "system-read"
-        knobs = {"vdd": args.vdd, "n_steps": args.n_steps,
-                 "kernel": args.kernel, "sa_model": args.sa_model}
         note += f"  (system-level, sa={args.sa_model})"
-    else:
-        workload = kind
-        knobs = {"vdd": args.vdd, "n_steps": args.n_steps, "kernel": args.kernel}
+
     result, runner = _run_request(args, workload, spec, knobs)
     if args.json:
         return _emit_json(result)
@@ -667,8 +679,10 @@ def main(argv: Optional[list] = None) -> int:
             return _run_compare(args)
     except ConfigError as exc:
         # Semantic flag conflicts (e.g. --resume without --journal) exit
-        # like argparse rejections: one readable line, status 2.
-        print(f"error: {exc}")
+        # like argparse rejections: one readable line, status 2, naming
+        # the A0xx code of a refused request.
+        code = getattr(exc, "code", None)
+        print(f"error: {exc}" + (f" [{code}]" if code and code not in str(exc) else ""))
         return 2
     except JournalError as exc:
         # A refused resume (D005–D007: the journal was recorded under a

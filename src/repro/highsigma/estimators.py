@@ -244,6 +244,11 @@ def effective_sample_size(log_w: np.ndarray, fails: np.ndarray) -> float:
     return float(np.exp(num - den))
 
 
+def _meets_target(p: float, se: float, target: Optional[float]) -> bool:
+    """The relative-error stop, met only by a probability (0 < p <= 1)."""
+    return target is not None and 0.0 < p <= 1.0 and se / p <= target
+
+
 class MeanShiftISCore:
     """Estimation stage shared by the mean-shift importance samplers.
 
@@ -332,8 +337,7 @@ class MeanShiftISCore:
             n_drawn += k
             batches += 1
             if target is not None and batches >= self.min_batches:
-                p, se = acc.estimate()
-                if p > 0 and se / p <= target:
+                if _meets_target(*acc.estimate(), target):
                     converged = True
                     break
         return acc, n_drawn, converged
@@ -357,6 +361,11 @@ class MeanShiftISCore:
         target can be missed while shard budget sits stranded; in that
         case one top-up round re-shards the stranded budget instead of
         returning ``converged=False`` with samples unspent.
+
+        The relative-error stop counts only an estimate in (0, 1], so a
+        run above 1 samples to its budget; one that ends there is
+        reported ``converged=False`` with
+        ``diagnostics["diagnostic_codes"] == ["E001"]``.
         """
         shards = resolve_shards(self.n_shards, self.workers)
         diag = dict(diagnostics or {})
@@ -386,7 +395,7 @@ class MeanShiftISCore:
             if self.target_rel_err is not None:
                 stranded = self.n_max - n_drawn
                 p, se = acc.estimate()
-                if stranded > 0 and not (p > 0 and se / p <= self.target_rel_err):
+                if stranded > 0 and not _meets_target(p, se, self.target_rel_err):
                     topup = stranded
                     n_drawn += sample_round(stranded)
             converged = False  # decided from the merged moments below
@@ -398,11 +407,10 @@ class MeanShiftISCore:
             )
         p, se = acc.estimate()
         if shards > 1:
-            converged = bool(
-                self.target_rel_err is not None
-                and p > 0
-                and se / p <= self.target_rel_err
-            )
+            converged = _meets_target(p, se, self.target_rel_err)
+        if p > 1.0:
+            # Not a probability: sampled to its budget, never converged.
+            diag["diagnostic_codes"] = ["E001"]
         diag.update(
             n_sampling=n_drawn,
             alpha=self.proposal.alpha,

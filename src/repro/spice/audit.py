@@ -11,6 +11,8 @@ is ever built:
 
 * **P004** — the terminal gather maps and the current incidence are
   total, in range and exactly the ±1 pattern the device wiring implies;
+  so is the device evaluation's polarity-signed terminal incidence
+  (dense plans) or four-terminal gather (sparse plans);
   the compact-row index covers every stamped entry (and ``C``, ``G``
   and the diagonal); a dense incidence, where the plan multiplies by
   one, holds exactly the replayed stamps.
@@ -111,6 +113,37 @@ def _replay_stamps(ct: CompiledTransient) -> Dict[int, List[Tuple[int, float]]]:
     return replay
 
 
+def _audit_terminal_tables(ct: CompiledTransient, diags: List[Diagnostic]) -> None:
+    """P004: the device evaluation's terminal tables match the wiring.
+
+    A sparse plan's gather lists the gate, source, drain and bulk rows;
+    a dense plan's signed incidence is replayed device by device, ``+p``
+    at the terminal and ``-p`` at the bulk, accumulated so a terminal
+    tied to its bulk cancels.
+    """
+    n_dev = ct.n_devices
+    terminals = (ct._g_idx, ct._s_idx, ct._d_idx, ct._b_idx)
+    if ct.assembly == "sparse":
+        got = ct._term_rows
+        want = np.array([int(idx[k]) for idx in terminals for k in range(n_dev)])
+        subject = "term_rows"
+    else:
+        got = ct._term_mat
+        want = np.zeros((3 * n_dev, ct._n_ext))
+        for k in range(n_dev):
+            for j, idx in enumerate(terminals[:3]):
+                want[j * n_dev + k, int(idx[k])] += float(ct._p[k, 0])
+                want[j * n_dev + k, int(ct._b_idx[k])] -= float(ct._p[k, 0])
+        subject = "term_mat"
+    if got is None or got.shape != want.shape or not np.array_equal(got, want):
+        diags.append(
+            _diag(
+                "P004", "error", subject,
+                "terminal table disagrees with the terminal maps and polarities",
+            )
+        )
+
+
 def _audit_index_maps(ct: CompiledTransient, replay, diags: List[Diagnostic]) -> bool:
     """P004: gather maps total and in-range, incidence stamps symbolic.
 
@@ -121,6 +154,7 @@ def _audit_index_maps(ct: CompiledTransient, replay, diags: List[Diagnostic]) ->
     n_dev = ct.n_devices
     n_ext = ct._n_ext
 
+    maps_ok = True
     for what, idx in (
         ("drain", ct._d_idx),
         ("gate", ct._g_idx),
@@ -129,6 +163,7 @@ def _audit_index_maps(ct: CompiledTransient, replay, diags: List[Diagnostic]) ->
     ):
         idx = np.asarray(idx)
         if idx.shape != (n_dev,):
+            maps_ok = False
             diags.append(
                 _diag(
                     "P004", "error", f"{what}_idx",
@@ -137,12 +172,15 @@ def _audit_index_maps(ct: CompiledTransient, replay, diags: List[Diagnostic]) ->
             )
             continue
         if idx.size and (idx.min() < 0 or idx.max() >= n_ext):
+            maps_ok = False
             diags.append(
                 _diag(
                     "P004", "error", f"{what}_idx",
                     f"targets outside the extended state [0, {n_ext})",
                 )
             )
+    if maps_ok:
+        _audit_terminal_tables(ct, diags)
 
     rows = sorted(ct._row_of_node.values())
     if rows != list(range(n_ext)):

@@ -12,10 +12,12 @@ step* instead of a per-circuit rewrite:
   nodes are the unknowns the Newton iteration solves for.
 * **Terminal-gather index maps.**  Every MOSFET terminal resolves to a
   row of an extended state matrix ``(n_unknown + n_rails + 1, n)``
-  (unknowns, rails, ground), so gathering all device voltages is one
-  ``np.take`` per terminal per iteration regardless of device count.
+  (unknowns, rails, ground), so all bulk-referenced terminal voltages
+  come from one exact matmul by a polarity-signed incidence (dense
+  plans) or one gather (sparse plans) per iteration.
 * **One stacked device evaluation.**  All devices evaluate in a single
-  pass over ``(n_devices, n_samples)`` arrays — a faithful transcription
+  pass over ``(n_devices, n_samples)`` arrays (the current's forward
+  and reverse halves stacked) — a faithful transcription
   of :meth:`repro.spice.mosfet.MosfetModel.ids` (same smooth clamps,
   same epsilons) with the model-card scalars broadcast as per-device
   columns.  ``kernel="reference"`` instead calls ``MosfetModel.ids``
@@ -70,7 +72,10 @@ step* instead of a per-circuit rewrite:
   ``solve4`` generalised down to 1) and blocked in-place elimination
   above, both with a per-pivot magnitude guard that re-solves degenerate
   samples through the row-pivoted ``np.linalg.solve`` — pathological
-  matrices lose speed, never accuracy.
+  matrices lose speed, never accuracy.  A call of fewer than
+  :data:`_UNROLLED_MIN_BATCH` samples (an MPFP search call) on 4
+  unknowns or fewer makes one stacked LAPACK call instead
+  (:func:`solve_lapack`), chosen from the batch size once per call.
 * **Linear elements.**  Capacitors (explicit and the MOSFETs' lumped
   terminal caps) build the constant ``C`` matrix; couplings to moving
   rails inject ``C * dV_rail/dt`` per step.  Resistors build a constant
@@ -128,6 +133,7 @@ __all__ = [
     "transient_grid",
     "solveN",
     "solve4",
+    "solve_lapack",
     "SPARSE_ASSEMBLY_THRESHOLD",
     "PLAN_FORMAT_VERSION",
 ]
@@ -159,6 +165,24 @@ SPARSE_ASSEMBLY_THRESHOLD = 8
 #: (K <= 96); the run-level sparse == dense pins hold on their fixed
 #: inputs.
 _SPARSE_MIN_BATCH = 16
+
+#: Batch size from which a fused plan of 4 unknowns or fewer solves
+#: through the unrolled :func:`solveN` (~70 numpy calls at any width);
+#: smaller calls make one stacked LAPACK call (:func:`solve_lapack`).
+#: ``run`` picks once per call from its batch size ``n``, never from the
+#: active width, so retirement never switches solvers.  The value is the
+#: measured crossover of whole calls: LAPACK / unrolled time of the
+#: retiring 6T ``read_access_times`` and ``write_trip_times`` at 200
+#: steps, 2-vCPU Xeon, BLAS on 1 thread, median of 10 alternating rounds:
+#:
+#:   rows   1    13   32   64   96   128  160  176  192  224  256
+#:   read   .71  .74  .77  .82  .88  .96  .98  1.01 1.01 1.03 1.11
+#:   write  .64  .78  .76  .82  .87  .81  .98  1.00 1.00 1.09 1.08
+#:
+#: (The 4x4 solve alone, µs unrolled / LAPACK: 77-104 / 12-21 at 1-16
+#: rows, 103 / 113 at 256.)  Search calls (12-15 rows) sit far below it
+#: and full sampling batches (256 rows) above it, keeping their bits.
+_UNROLLED_MIN_BATCH = 176
 
 #: Serialization format version of the compiled-plan state (see
 #: :mod:`repro.spice.plan` for the byte container and the cache built on
@@ -285,6 +309,25 @@ def _incidence_matrices(
         keep = (side < nu) & (d_idx != s_idx)
         s_mat[side[keep], dev[keep]] = sign
     return s_mat, _jacobian_stamps(d_idx, g_idx, s_idx, b_idx, nu)
+
+
+def _terminal_incidence(
+    terminals: Sequence[np.ndarray], b_idx: np.ndarray, polarity: np.ndarray, n_ext: int
+) -> np.ndarray:
+    """``(3·n_dev, n_ext)`` incidence whose product with ``y_ext`` holds
+    ``p·(v_t − v_b)`` for t = gate, source, drain (row blocks).
+
+    A row holds ``+p`` at the terminal and ``−p`` at the bulk, two ±1
+    entries, so each dot product rounds once, exactly as the subtraction
+    does.  A terminal tied to its bulk cancels to a zero row; rows are
+    unique per assignment, so ``-=`` needs no ``np.add.at``.
+    """
+    terminal = np.array(terminals)                             # (3, n_dev)
+    rows = np.arange(terminal.size).reshape(terminal.shape)
+    mat = np.zeros((terminal.size, n_ext))
+    mat[rows, terminal] = polarity
+    mat[rows, b_idx] -= polarity
+    return mat
 
 
 def _expand_compact(jac: np.ndarray, index: np.ndarray, nu: int) -> np.ndarray:
@@ -793,6 +836,22 @@ def solveN(a: np.ndarray, b: np.ndarray, min_pivot: float = 1e-18) -> np.ndarray
     return _solve_blocked(a, b, min_pivot)
 
 
+def solve_lapack(a: np.ndarray, b: np.ndarray, min_pivot: float = 1e-18) -> np.ndarray:
+    """Row-pivoted LAPACK solve of the same ``(n, n, m)`` / ``(n, m)`` stacks.
+
+    One ``np.linalg.solve`` call on the ``(m, n, n)`` view: a ``dgesv``
+    per sample, so each solution is bit-equal to ``np.linalg.solve`` of
+    its own matrix at any width.  A stack LAPACK finds exactly singular
+    goes through :func:`solveN` instead, whose pivot guard re-solves
+    the degenerate samples and raises ``LinAlgError`` on a singular one.
+    """
+    try:
+        x = np.linalg.solve(a.transpose(2, 0, 1), b.T[..., None])
+    except np.linalg.LinAlgError:
+        return solveN(a, b, min_pivot)
+    return x[..., 0].T
+
+
 # ----------------------------------------------------------------------
 # Observation probes and retirement policy
 # ----------------------------------------------------------------------
@@ -927,7 +986,10 @@ class CompiledTransient:
         ``"schur"`` — require the Schur decomposition, raising when the
         pattern does not decompose.  The resolved choice is exposed as
         :attr:`solver` (``"schur"`` or ``"blocked"``); the reference
-        kernel always keeps the row-pivoted ``np.linalg.solve``.
+        kernel always keeps the row-pivoted ``np.linalg.solve``.  At 4
+        unknowns or fewer, a ``run`` call of ``n`` below
+        :data:`_UNROLLED_MIN_BATCH` solves through :func:`solve_lapack`,
+        with or without retirement.
     newton_max_iter / newton_tol / max_step / min_pivot:
         Damped-Newton controls (defaults match the batched 6T engine).
     clip:
@@ -1240,6 +1302,20 @@ class CompiledTransient:
             _stamp_csr(stamps, self._jac_index, 4 * self.n_devices)
             if sparse else None
         )
+        # Device-evaluation terminal tables.  Dense plans multiply: whole
+        # 6T read / write calls at 200 steps run 2-3.5 % faster than with
+        # the gather at 13 rows (17.7 / 19.3 vs 18.1 / 20.0 ms) and at 256
+        # (41.4 / 45.6 vs 42.8 / 47.2 ms), bit-identical; 12 alternating
+        # rounds, 2-vCPU Xeon, BLAS on 1 thread.  Sparse plans gather:
+        # their dense incidence would be (3·n_dev, n_ext).
+        terminals = (self._g_idx, self._s_idx, self._d_idx, self._b_idx)
+        self._term_mat = self._term_rows = None
+        if sparse:
+            self._term_rows = np.concatenate(terminals)
+        else:
+            self._term_mat = _terminal_incidence(
+                terminals[:3], self._b_idx, self._p[:, 0], self._n_ext
+            )
         self._m_mat = None
         if not (sparse and self._schur is not None):
             # M[nu*row + col, kind*n_dev + dev]: the dense assembly
@@ -1458,15 +1534,24 @@ class CompiledTransient:
         ordered ``[gm, gds, gms, gmb]`` blockwise, ready for the assembly
         matmul.  The formulas transcribe :meth:`MosfetModel.ids` with the
         scalar card parameters broadcast as ``(n_dev, 1)`` columns.
+
+        The terminal differences come from one exact matmul
+        (:func:`_terminal_incidence`, dense plans) or one gather (sparse
+        plans); the forward and reverse halves of the current run as one
+        stacked ``(2, n_dev, m)`` pass with the same per-element
+        operations.
         """
         p = self._p
-        vg = np.take(y_ext, self._g_idx, axis=0)
-        vd = np.take(y_ext, self._d_idx, axis=0)
-        vs = np.take(y_ext, self._s_idx, axis=0)
-        vb = np.take(y_ext, self._b_idx, axis=0)
-        vgb = p * (vg - vb)
-        vdb = p * (vd - vb)
-        vsb = p * (vs - vb)
+        n_dev = self.n_devices
+        m = y_ext.shape[1]
+        if self._term_mat is not None:
+            v = (self._term_mat @ y_ext).reshape(3, n_dev, m)
+        else:
+            gsdb = y_ext[self._term_rows].reshape(4, n_dev, m)
+            v = gsdb[:3]
+            v -= gsdb[3]
+            v *= p
+        vgb, vsb, vdb = v                     # v[1:] is [vsb, vdb]
 
         # Pinch-off voltage with the smoothly clamped body-effect term.
         vgb_t = vgb - vto_eff
@@ -1478,16 +1563,13 @@ class CompiledTransient:
         vp = vgb_t - self._gamma * (sqrt_q - self._k_half)
         dvp_dvgb = 1.0 - self._gamma * dq / (2.0 * sqrt_q)
 
-        # Forward / reverse normalised currents (squared softplus).
-        xf = (vp - vsb) * self._inv_2nut
-        xr = (vp - vdb) * self._inv_2nut
-        sf = np.maximum(xf, 0.0) + np.log1p(np.exp(-np.abs(xf)))
-        sr = np.maximum(xr, 0.0) + np.log1p(np.exp(-np.abs(xr)))
-        i_f = sf * sf
-        i_r = sr * sr
+        # Forward / reverse normalised currents (squared softplus),
+        # stacked: index 0 is the forward half, 1 the reverse.
+        x = (vp - v[1:]) * self._inv_2nut
+        s = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        i_f, i_r = s * s
         # sigmoid(x) via tanh — overflow-safe without boolean masking.
-        dif = sf * (0.5 + 0.5 * np.tanh(0.5 * xf)) * self._inv_nut
-        dir_ = sr * (0.5 + 0.5 * np.tanh(0.5 * xr)) * self._inv_nut
+        dif, dir_ = s * (0.5 + 0.5 * np.tanh(0.5 * x)) * self._inv_nut
 
         vds = vdb - vsb
         root_ds = np.sqrt(vds * vds + _EPS_ABS * _EPS_ABS)
@@ -1497,8 +1579,6 @@ class CompiledTransient:
         core = i_spec * (i_f - i_r)
         ids = p * (core * clm)
 
-        n_dev = self.n_devices
-        m = y_ext.shape[1]
         g_stack = np.empty((4 * n_dev, m))
         core_dclm = core * dclm_dvds
         gm = g_stack[0:n_dev]
@@ -1724,6 +1804,7 @@ class CompiledTransient:
         jac_csr = self._jac_csr
         jac_index = self._jac_index
         schur = self._schur
+        lapack = nu in _UNROLLED_SOLVERS and n < _UNROLLED_MIN_BATCH
         n_sample_steps = 0
 
         for step in range(plan.n_steps):
@@ -1802,6 +1883,8 @@ class CompiledTransient:
                         delta = solveN(
                             _expand_compact(jac, jac_index, nu), -f, min_pivot
                         )
+                elif fused and lapack:
+                    delta = solve_lapack(jac, -f, min_pivot)
                 elif fused:
                     delta = solveN(jac, -f, min_pivot)
                 else:
@@ -1903,13 +1986,16 @@ class CompiledTransient:
     #: stacks (``C/h``, plus the dense base ``C/h + G`` on plans without
     #: a Schur partition) and the dense incidence ``_m_mat`` of plans that
     #: multiply by it (~235 MB at array-slice scale; a sparse Schur plan
-    #: has none), plus the compact-row index ``_jac_index`` and the
+    #: has none), plus the compact-row index ``_jac_index``, the
     #: sparse assembly's stamp CSR ``_jac_csr`` over those rows, so plan
-    #: bytes hold no scipy object.  The Schur solver ships its partition
+    #: bytes hold no scipy object, and the terminal tables ``_term_mat``
+    #: / ``_term_rows``.  The Schur solver ships its partition
     #: and border sets and rebinds its compact-row tables to the rebuilt
     #: index.  The plan audit's P002-P005 replays are the proof the
     #: rebuild equals the original.
-    _DERIVED_STATE = ("_plan", "_s_mat", "_m_mat", "_jac_index", "_jac_csr")
+    _DERIVED_STATE = (
+        "_plan", "_s_mat", "_m_mat", "_jac_index", "_jac_csr", "_term_mat", "_term_rows"
+    )
 
     def __getstate__(self) -> Dict[str, object]:
         state = {

@@ -32,9 +32,11 @@ N013   error     circuit has no MOSFETs (nothing to batch-evaluate)
 N014   error     circuit has no unknown nodes (every node is a rail)
 ====== ========= ===========================================================
 
-Plan-level (``P0xx``) and determinism (``D0xx``) codes live in the same
-registry; they are emitted by :func:`repro.spice.audit.audit_plan` and
-:mod:`repro.engine.audit` respectively.  Severity is binary: ``error``
+Plan-level (``P0xx``), determinism (``D0xx``), request (``A0xx``) and
+estimator (``E0xx``) codes live in the same registry; they are emitted
+by :func:`repro.spice.audit.audit_plan`, :mod:`repro.engine.audit`,
+request validation in :mod:`repro.api` and the importance samplers'
+result diagnostics respectively.  Severity is binary: ``error``
 findings make strict compilation and the CLI fail; ``warning`` findings
 flag singular-by-construction or degenerate patterns that the solvers
 survive via the pivot-guard rescue but that usually indicate a netlist
@@ -91,7 +93,8 @@ class Diagnostic:
 #: one-line meaning and the generic fix hint.  ``N0xx`` are netlist
 #: findings (:func:`lint_circuit`), ``P0xx`` compiled-plan findings
 #: (:func:`repro.spice.audit.audit_plan`), ``D0xx`` determinism findings
-#: (:mod:`repro.engine.audit`).
+#: (:mod:`repro.engine.audit`), ``A0xx`` request refusals, ``E0xx``
+#: estimator findings (``EstimateResult.diagnostics["diagnostic_codes"]``).
 DIAGNOSTIC_CODES: Dict[str, Tuple[str, str]] = {
     "N001": (
         "dangling node: attached to a single element",
@@ -248,6 +251,12 @@ DIAGNOSTIC_CODES: Dict[str, Tuple[str, str]] = {
     "A007": (
         "service refused the submission (shutting down or queue full)",
         "retry later or raise the service queue_limit",
+    ),
+    "E001": (
+        "importance-sampling estimate above 1: not a probability, so the "
+        "run samples its whole budget and is reported converged=False",
+        "the proposal misses the bulk of the failure region; plain Monte "
+        "Carlo needs few samples at a failure probability this large",
     ),
 }
 

@@ -28,7 +28,10 @@ the scalar MNA engine, which stays the independent oracle.
 ``kernel`` selects the compiler's device-evaluation/solve path:
 
 * ``"fast"`` (default) — one stacked device evaluation over ``(6, n)``
-  arrays per Newton iteration, closed-form batched 4x4 solves, and
+  arrays per Newton iteration, batched 4x4 solves (one stacked LAPACK
+  call on batches under the compiler's ``_UNROLLED_MIN_BATCH``, such as
+  the MPFP search's 12–15-row calls; the closed-form unrolled
+  elimination on wider ones), and
   sample retirement: a sample drops out of the active set once nothing
   its caller reads can change.  The metric-only views
   (:meth:`Batched6T.read_access_times`, :meth:`Batched6T.write_trip_times`)

@@ -137,6 +137,28 @@ class TestDiagnosticsAndAccounting:
         res = GradientImportanceSampling(ls, n_max=2000).run(np.random.default_rng(11))
         assert res.ess > 10
 
+    def test_estimate_above_one_is_not_converged(self):
+        """A strongly concave boundary at 4 sigma fails almost everywhere
+        (exact p 0.975); this request's mixture over-weights it (1.14 at
+        its 804th sample), so the relative-error stop must not fire: the
+        run samples its whole budget, and an estimate still above 1 must
+        not read as a converged probability."""
+        from repro import api
+
+        res = api.estimate(api.EstimateRequest(
+            workload="analytic-quadratic", spec=4.0, seed=1, budget=2000,
+            knobs={"dim": 8, "kappa": -5.0},
+        ))
+        assert res.diagnostics["n_sampling"] == 2000
+        assert res.p_fail > 1.0
+        assert not res.converged
+        assert res.diagnostics["diagnostic_codes"] == ["E001"]
+
+    def test_in_range_estimate_carries_no_codes(self):
+        ls = LinearLimitState(beta=4.0, dim=4)
+        res = GradientImportanceSampling(ls, n_max=2000).run(np.random.default_rng(11))
+        assert res.converged and "diagnostic_codes" not in res.diagnostics
+
 
 class TestOptions:
     def test_defensive_alpha_zero_still_works_at_mpfp(self):

@@ -52,7 +52,7 @@ def base_circuit():
 class TestRegistry:
     def test_every_code_documented(self):
         for code, (meaning, hint) in DIAGNOSTIC_CODES.items():
-            assert code[0] in "NPDA" and code[1:].isdigit()
+            assert code[0] in "NPDAE" and code[1:].isdigit()
             assert meaning and hint
 
     def test_str_includes_code_and_hint(self):

@@ -275,6 +275,27 @@ class TestIndexMapMutations:
         assert "P004" in _codes(diags)
         assert any(d.subject == "s_mat" for d in diags)
 
+    def test_p004_sign_flip_in_term_mat(self):
+        ct = bench_compiled("6t")
+        t = np.array(ct._term_mat, copy=True)
+        r, c = np.argwhere(t != 0.0)[0]
+        t[r, c] = -t[r, c]
+        ct._term_mat = t
+        diags = _errors(audit_plan(ct))
+        assert _codes(diags) == ["P004"]
+        assert any(d.subject == "term_mat" for d in diags)
+
+    def test_p004_swapped_term_rows(self):
+        ct = bench_compiled("6t", assembly="sparse")
+        rows = np.array(ct._term_rows, copy=True)
+        n_dev = ct.n_devices
+        rows[[0, n_dev]] = rows[[n_dev, 0]]  # device 0's gate <-> source
+        assert not np.array_equal(rows, ct._term_rows)
+        ct._term_rows = rows
+        diags = _errors(audit_plan(ct))
+        assert _codes(diags) == ["P004"]
+        assert any(d.subject == "term_rows" for d in diags)
+
     def test_p004_gather_out_of_range(self):
         ct = bench_compiled("6t")
         idx = np.array(ct._d_idx, copy=True)

@@ -132,6 +132,22 @@ class TestStampCsrRestore:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+class TestTerminalTablesRestore:
+    """The device evaluation's terminal tables are derived state too."""
+
+    @pytest.mark.parametrize("assembly", ["dense", "sparse"])
+    def test_rebuilt_not_shipped(self, assembly):
+        ct = bench_compiled("6t", assembly=assembly)
+        state = ct.__getstate__()["state"]
+        assert "_term_mat" not in state and "_term_rows" not in state
+        restored = pickle.loads(pickle.dumps(ct))
+        kept, dropped = ("_term_mat", "_term_rows")
+        if assembly == "sparse":
+            kept, dropped = dropped, kept
+        assert getattr(restored, dropped) is None
+        np.testing.assert_array_equal(getattr(restored, kept), getattr(ct, kept))
+
+
 class TestProductionSizeRestore:
     """The benchmark's plan: the 4x16 array slice at 120 steps, whose
     sparse Schur layout has no dense incidence to rebuild."""

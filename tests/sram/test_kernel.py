@@ -1,5 +1,10 @@
-"""6T kernels: fast vs reference, the recorded hand-written loop, solve4,
-and retirement (on the 6T and on the column and array access runs)."""
+"""6T kernels: fast vs reference, the recorded hand-written loop, solve4
+and the small-batch LAPACK solve, metrics recorded before the terminal
+matmul, and retirement (on the 6T and on the column and array access
+runs)."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,12 @@ from repro.errors import SimulationError
 from repro.sram.array import ArrayConfig, ArraySlice
 from repro.sram.batched import Batched6T
 from repro.sram.column import ColumnConfig, ReadColumn
-from repro.spice.compile import CompiledTransient, solve4
+from repro.spice.compile import (
+    _UNROLLED_MIN_BATCH,
+    CompiledTransient,
+    solve4,
+    solve_lapack,
+)
 
 N_STEPS = 300
 
@@ -70,6 +80,30 @@ class TestSolve4:
         solve4(a, b)
         np.testing.assert_array_equal(a, a0)
         np.testing.assert_array_equal(b, b0)
+
+
+class TestSolveLapack:
+    """The fused path's solve below ``_UNROLLED_MIN_BATCH`` samples."""
+
+    @pytest.mark.parametrize("width", [1, 13, _UNROLLED_MIN_BATCH - 1])
+    def test_bit_equal_to_numpy_solve(self, width):
+        rng = np.random.default_rng(width)
+        a = rng.normal(size=(width, 4, 4)) + 4.0 * np.eye(4)
+        b = rng.normal(size=(width, 4))
+        want = np.linalg.solve(a, b[..., None])[..., 0]
+        x = solve_lapack(
+            np.ascontiguousarray(a.transpose(1, 2, 0)),
+            np.ascontiguousarray(b.T),
+        )
+        np.testing.assert_array_equal(x.T, want)
+
+    def test_singular_stack_raises(self):
+        # LAPACK refuses the stack; the solveN fallback re-solves the
+        # guarded sample through LAPACK and raises as it always has.
+        a = np.repeat((np.eye(4) + 1.0)[:, :, None], 3, axis=2)
+        a[:, :, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_lapack(a, np.ones((4, 3)))
 
 
 class TestFastVsReference:
@@ -181,6 +215,33 @@ class TestHandWrittenLoopRecord:
         np.testing.assert_allclose(r.metric, expected, rtol=1e-12, atol=0.0)
 
 
+#: ``read_access_times`` / ``write_trip_times`` of a fixed input, recorded
+#: before the device evaluation took its terminal differences from one
+#: matmul and small calls solved through LAPACK (see the file's note).
+PARENT_METRICS = json.loads(
+    (Path(__file__).parent / "data" / "batched6t_metrics.json").read_text()
+)
+
+
+class TestRecordedMetrics:
+    """The terminal matmul and the stacked forward/reverse pass are exact,
+    so a call at or above ``_UNROLLED_MIN_BATCH`` rows is bit-equal to the
+    recording; a 13-row call solves through LAPACK and stays within
+    1e-10 of the unrolled solve's recording."""
+
+    @pytest.mark.parametrize("view", ["read_access_times", "write_trip_times"])
+    @pytest.mark.parametrize("n", [256, 13])
+    def test_metric_views_match_record(self, view, n):
+        dvth, bmult = nominal_batch(np.random.default_rng(27), n=256)
+        eng = Batched6T(n_steps=200, kernel="fast")
+        got = getattr(eng, view)(dvth[:n], bmult[:n])
+        want = np.array([float.fromhex(h) for h in PARENT_METRICS[f"{view}_{n}"]])
+        if n >= _UNROLLED_MIN_BATCH:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
 class TestRetirement:
     def test_metric_identity_read(self):
         """Retirement must not change the metric: the crossing is recorded
@@ -270,15 +331,19 @@ class TestRetirement:
         per_sample_128 = eng.n_sample_steps / 128
         assert per_sample_128 == pytest.approx(per_sample_64, rel=0.02)
 
-    @pytest.mark.parametrize("n, stuck", [(1, 0), (15, 2), (16, 2), (256, 8)])
-    def test_metric_views_retire_at_the_crossing(self, n, stuck):
+    @pytest.mark.parametrize("n, stuck", [
+        (1, 0), (15, 2), (16, 2), (128, 8), (_UNROLLED_MIN_BATCH - 1, 8),
+        (_UNROLLED_MIN_BATCH, 8), (256, 8),
+    ])
+    def test_metric_views_retire_at_the_crossing(self, n, stuck, request):
         """The metric-only views retire each sample at its crossing: their
         metrics are bit-equal to a non-retiring engine's, and a batch that
         can retire (every sample crosses, or enough to compact) pays about
         the ~34 steps to the crossing per crossing sample, not the 168 to
         wordline fall (read) or the 200 to ``t_stop`` (write).  Samples
         with dead pass gates never cross, never retire, and keep their
-        full-window penalty metric."""
+        full-window penalty metric.  The widths either side of
+        ``_UNROLLED_MIN_BATCH`` run the LAPACK and the unrolled solve."""
         steps = 200
         rng = np.random.default_rng(20 + n)
         dvth, bmult = nominal_batch(rng, n=n)
@@ -291,14 +356,23 @@ class TestRetirement:
         }
         on = Batched6T(n_steps=steps, kernel="fast", retire=True)
         off = Batched6T(n_steps=steps, kernel="fast", retire=False)
+        per_crossing = {}
         for name, view in views.items():
             on.n_sample_steps = 0
             t_on, t_off = view(on), view(off)
             np.testing.assert_array_equal(t_on, t_off, err_msg=name)
             assert (t_on[:stuck] > 1e-9).all()  # the no-crossing penalty
             if stuck == 0 or n - stuck >= 16:
-                per_crossing = (on.n_sample_steps - stuck * steps) / (n - stuck)
-                assert per_crossing <= 40, name
+                per_crossing[name] = (on.n_sample_steps - stuck * steps) / (n - stuck)
+        if n == 128:
+            # Known: late crossers fewer than the policy's min_count keep
+            # integrating beside the dead rows to t_stop; the system read
+            # pays ~42 steps per crossing here.  Bits hold (asserted above).
+            request.applymarker(pytest.mark.xfail(
+                strict=True, reason="late crossers beside never-crossing rows",
+            ))
+        for name, steps_per in per_crossing.items():
+            assert steps_per <= 40, name
 
     @pytest.mark.parametrize("bench", ["column", "array"])
     def test_access_times_retire_at_the_crossing(self, bench, monkeypatch):

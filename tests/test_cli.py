@@ -106,6 +106,20 @@ class TestArgumentValidation:
         assert code == 2
         assert "n_steps" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["read-sigma", "write-sigma"])
+    def test_bad_knob_refused_before_calibration(self, command, monkeypatch, capsys):
+        import repro.experiments.workloads as workloads
+
+        def calibrate(*args, **kwargs):
+            raise AssertionError("calibrated before validating the request")
+
+        monkeypatch.setattr(workloads, "calibrate_read_spec", calibrate)
+        monkeypatch.setattr(workloads, "calibrate_write_spec", calibrate)
+        code = main([command, "--target-sigma", "4", "--n-steps", "0"])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "A003" in out and "n_steps" in out
+
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -64,7 +64,7 @@ METHODS: Tuple[str, ...] = ("gis", "mc")
 #: layout change; ``from_json`` refuses versions it does not understand
 #: (the bench-report pattern), so service responses and CLI ``--json``
 #: output can never be silently misparsed by stale readers.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
@@ -141,9 +141,9 @@ class EstimateRequest:
     (seconds, volts, or sigma for the analytic canaries); ``knobs``
     holds the workload-specific circuit/compile options (only the names
     the workload declares are legal).  ``n_shards`` pins the shard plan
-    the estimate depends on (default: follows ``workers``); ``retries``
-    and ``shard_timeout`` configure the fault-tolerant runner exactly
-    like the CLI flags of the same names.
+    the estimate depends on (default: follows ``workers``);
+    ``shard_timeout`` ends the run with a typed error when a pooled
+    shard outlives it, exactly like the CLI's ``--shard-timeout``.
     """
 
     workload: str
@@ -155,7 +155,6 @@ class EstimateRequest:
     n_starts: int = 1
     workers: int = 1
     n_shards: Optional[int] = None
-    retries: int = 0
     shard_timeout: Optional[float] = None
     knobs: Mapping[str, Any] = field(default_factory=dict)
 
@@ -198,7 +197,6 @@ class EstimateRequest:
         _check_int("workers", self.workers, 1)
         if self.n_shards is not None:
             _check_int("n_shards", self.n_shards, 1)
-        _check_int("retries", self.retries, 0)
         if self.rel_err is not None:
             _require(
                 isinstance(self.rel_err, (int, float))
@@ -258,7 +256,6 @@ class EstimateRequest:
             "n_starts": self.n_starts,
             "workers": self.workers,
             "n_shards": self.n_shards,
-            "retries": self.retries,
             "shard_timeout": self.shard_timeout,
             "knobs": dict(self.knobs),
         }
@@ -285,8 +282,7 @@ class EstimateRequest:
         )
         known = {
             "workload", "spec", "method", "seed", "budget", "rel_err",
-            "n_starts", "workers", "n_shards", "retries", "shard_timeout",
-            "knobs",
+            "n_starts", "workers", "n_shards", "shard_timeout", "knobs",
         }
         unknown = sorted(set(data) - known)
         _require(
@@ -319,8 +315,8 @@ class EstimateResult:
     """The facade's response record — one schema across CLI/API/HTTP.
 
     Wraps the estimator's statistical outcome with the request echo and
-    the serving-relevant context (resolved shard plan, wall time, fault
-    and plan-cache counters).  ``to_json``/``from_json`` round-trip
+    the serving-relevant context (resolved shard plan, wall time,
+    plan-cache counters).  ``to_json``/``from_json`` round-trip
     through the ``schema_version``-stamped envelope the service serves
     and the CLI ``--json`` flag prints.
     """
@@ -339,7 +335,6 @@ class EstimateResult:
     ess: Optional[float]
     elapsed_s: float
     diagnostics: Mapping[str, Any] = field(default_factory=dict)
-    fault_stats: Mapping[str, int] = field(default_factory=dict)
     plan_cache: Mapping[str, int] = field(default_factory=dict)
     request: Optional[EstimateRequest] = None
 
@@ -364,7 +359,7 @@ class EstimateResult:
     def identical_to(self, other: "EstimateResult") -> bool:
         """Bit-identity of the *statistical* outcome (the serving
         invariant: HTTP service == facade == CLI for one request+seed).
-        Wall time and cache/fault counters are execution context, not
+        Wall time and cache counters are execution context, not
         outcome, so they are deliberately excluded."""
         return (
             self.p_fail == other.p_fail
@@ -394,7 +389,6 @@ class EstimateResult:
             "ess": self.ess,
             "elapsed_s": self.elapsed_s,
             "diagnostics": _json_safe(self.diagnostics),
-            "fault_stats": _json_safe(self.fault_stats),
             "plan_cache": _json_safe(self.plan_cache),
         }
         if self.request is not None:
@@ -450,37 +444,32 @@ class PreparedEstimate:
     limit_state: LimitState
     n_shards: int
 
-    def run(self, runner: Any = None, workers: Optional[int] = None) -> EstimateResult:
+    def run(self, workers: Optional[int] = None) -> EstimateResult:
         """Execute the estimation; ``workers`` overrides the worker
         count only (a service granting fewer workers than requested
         cannot change the estimate — the shard plan is already pinned).
         """
-        from repro.engine.sharding import RetryPolicy, ShardedRunner
+        from repro.engine.sharding import ShardedRunner
         from repro.spice.plan import default_plan_cache
 
         request = self.request
         eff_workers = request.workers if workers is None else max(1, int(workers))
-        owned_runner = None
-        if runner is None and (request.retries > 0 or request.shard_timeout is not None):
-            owned_runner = ShardedRunner(
-                workers=eff_workers,
-                persistent=True,
-                retry=RetryPolicy(
-                    max_attempts=request.retries + 1, timeout=request.shard_timeout
-                ),
+        runner = None
+        if request.shard_timeout is not None:
+            # One persistent pool for every round, each under the deadline.
+            runner = ShardedRunner(
+                workers=eff_workers, persistent=True, timeout=request.shard_timeout
             )
-            runner = owned_runner
 
         t0 = time.perf_counter()
         try:
             estimator = self._build_estimator(eff_workers, runner)
             core = estimator.run(np.random.default_rng(request.seed))
         finally:
-            if owned_runner is not None:
-                owned_runner.close()
+            if runner is not None:
+                runner.close()
         elapsed = time.perf_counter() - t0
 
-        fault_stats = dict(runner.fault_stats) if runner is not None else {}
         return EstimateResult(
             workload=request.workload,
             method=request.method,
@@ -496,7 +485,6 @@ class PreparedEstimate:
             ess=None if core.ess is None else float(core.ess),
             elapsed_s=round(elapsed, 6),
             diagnostics=_json_safe(core.diagnostics),
-            fault_stats=_json_safe(fault_stats),
             plan_cache=dict(default_plan_cache().stats),
             request=request,
         )
@@ -550,13 +538,11 @@ def prepare(request: EstimateRequest) -> PreparedEstimate:
     )
 
 
-def estimate(request: EstimateRequest, runner: Any = None) -> EstimateResult:
+def estimate(request: EstimateRequest) -> EstimateResult:
     """Run one estimation request end to end (the facade entry point).
 
-    Equivalent to ``prepare(request).run(runner=runner)``.  ``runner``
-    may be a caller-owned (e.g. journaled) persistent
-    :class:`~repro.engine.sharding.ShardedRunner`; when omitted, a
-    fault-tolerant runner is created exactly when ``retries`` or
-    ``shard_timeout`` ask for one, mirroring the CLI.
+    Equivalent to ``prepare(request).run()``.  A pooled shard that
+    raises, loses its worker or outlives ``shard_timeout`` ends the run
+    with a typed :class:`~repro.errors.ShardExecutionError`.
     """
-    return prepare(request).run(runner=runner)
+    return prepare(request).run()

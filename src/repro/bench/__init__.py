@@ -12,7 +12,7 @@ evidence:
   every driver emits;
 * :mod:`repro.bench.meta` — host provenance for every record;
 * :mod:`repro.bench.sections` — the registered workloads (tags
-  ``smoke``/``kernel``/``sharding``/``chaos``/...);
+  ``smoke``/``kernel``/``sharding``/``service``/...);
 * :mod:`repro.bench.cli` — the ``repro-bench`` entry point
   (``python -m repro.bench``).
 

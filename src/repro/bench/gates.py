@@ -5,7 +5,7 @@ per-section wall-clock factors against the committed baseline, internal
 ratio floors (batched >= 2x scalar, sparse >= 2x dense, Schur >= 1.5x
 blocked, fast >= reference, warm plan-cache hit >= 2x cold compile),
 ratio ceilings (spawn pool <= 1.5x fork), and bit-identity contracts
-(chaos and journal recovery, sharding across worker counts) — is a
+(sharding across worker counts, spawn vs fork pools) — is a
 :class:`GateSpec` here: declarative data evaluated uniformly by
 :func:`evaluate_gates`.  A failure always reports the gate id, the
 measured value and the threshold it broke, so a red CI line is
@@ -55,10 +55,7 @@ class GateSpec:
     ``gate_id`` is the stable identifier failure messages and reports
     carry; ``section`` names the section whose result is examined;
     ``key`` selects the measured value (ignored for ``wall_factor``,
-    which gates the section's own wall-clock).  ``skip_if_missing``
-    marks gates over values a section can legitimately decline to
-    measure (e.g. fork-pool chaos recovery on a spawn-only platform):
-    a missing value skips the gate instead of failing it.
+    which gates the section's own wall-clock).
     """
 
     gate_id: str
@@ -67,7 +64,6 @@ class GateSpec:
     key: str = ""
     threshold: float = 0.0
     description: str = ""
-    skip_if_missing: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
@@ -203,11 +199,8 @@ def evaluate_gates(
         if value is None:
             outcomes.append(GateOutcome(
                 spec,
-                passed=spec.skip_if_missing,
-                skipped=spec.skip_if_missing,
-                reason=f"value {spec.key!r} not measured"
-                + ("" if spec.skip_if_missing else
-                   f" by section {spec.section!r}"),
+                passed=False,
+                reason=f"value {spec.key!r} not measured by section {spec.section!r}",
             ))
             continue
         if spec.kind == "bool_true":

@@ -11,11 +11,9 @@ Importing this package registers every section (and its gates) into
   the compiled array slice.
 * :mod:`repro.bench.sections.sharding` — the sharded-engine
   determinism/speedup run (tag ``sharding``).
-* :mod:`repro.bench.sections.chaos` — fault-injection and journal
-  recovery with the bit-identity gates (tag ``chaos``).
 * :mod:`repro.bench.sections.service` — the job service measured
   through its in-process client (tag ``service``): burst QPS/latency,
   facade bit-identity, single-flight compilation.
 """
 
-from repro.bench.sections import chaos, kernel, service, sharding, smoke  # noqa: F401
+from repro.bench.sections import kernel, service, sharding, smoke  # noqa: F401

@@ -57,16 +57,10 @@ bit-identical for any worker count with the same ``--shards`` — e.g.
 ``--shards 4 --workers 1`` reproduces ``--shards 4 --workers 4`` on a
 laptop with no free cores.
 
-Fault tolerance: ``--retries N`` re-dispatches failed or lost shard
-jobs, ``--shard-timeout S`` declares hung pooled attempts lost (and
-recycles the pool), and ``--journal PATH`` checkpoints completed shards
-so ``--resume`` replays them after an interruption.  All of it rides on
-the shard-plan determinism above, so a retried or resumed run is
-bit-identical to a fault-free one::
-
-    python -m repro.cli array-sigma --spec-ps 60 --workers 4 \\
-        --retries 2 --shard-timeout 300 --journal run.journal
-    # interrupted? same command + --resume finishes the missing shards
+Shard failures: a pooled shard that raises, loses its worker process
+or runs past ``--shard-timeout S`` ends the run with a typed
+``ShardExecutionError`` naming the shard; nothing is retried, because a
+shard re-run on the same plan repeats identical work.
 
 Plan caching: ``--plan-cache DIR`` (or the ``REPRO_PLAN_CACHE``
 environment variable) backs the sigma subcommands with a
@@ -82,7 +76,7 @@ import argparse
 import sys
 from typing import Optional
 
-from repro.errors import ConfigError, JournalError
+from repro.errors import ConfigError
 
 __all__ = ["main", "build_parser"]
 
@@ -139,25 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="gradient-search starts (multi-start covers "
                             "multiple failure regions; starts shard over "
                             "--workers)")
-        p.add_argument("--retries", type=int, default=0,
-                       help="re-dispatch a failed/lost/timed-out shard up "
-                            "to this many extra times (same plan index, "
-                            "stream and budget, so retried runs stay "
-                            "bit-identical to fault-free ones)")
         p.add_argument("--shard-timeout", type=float, default=None,
                        metavar="SECONDS",
-                       help="declare a pooled shard attempt lost after this "
-                            "many seconds and recycle the worker pool "
-                            "(combine with --retries to survive hung "
-                            "workers)")
-        p.add_argument("--journal", type=str, default=None, metavar="PATH",
-                       help="checkpoint completed shards to PATH as they "
-                            "finish, so an interrupted run can resume")
-        p.add_argument("--resume", action="store_true",
-                       help="with --journal: replay already-journaled "
-                            "shards (after a plan audit) and execute only "
-                            "the missing ones — bit-identical to an "
-                            "uninterrupted run")
+                       help="end the run with an error when a pooled shard "
+                            "job runs longer than this many seconds (hung "
+                            "workers cannot be cancelled otherwise)")
         p.add_argument("--plan-cache", type=str, default=None, metavar="DIR",
                        help="content-addressed store for compiled plans: "
                             "compile once, restore (audited) on later runs "
@@ -260,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="maximum unsettled jobs before submissions are "
                               "refused with 503/A007")
     p_serve.add_argument("--spool-dir", type=str, default=None, metavar="DIR",
-                         help="directory settled jobs are journaled to "
+                         help="directory settled jobs are spooled to "
                               "(default: a private temp dir, removed on "
                               "shutdown — the service never touches the cwd)")
     p_serve.add_argument("--plan-cache", type=str, default=None, metavar="DIR",
@@ -317,59 +297,6 @@ def _report(result, spec: float, extra: str = "") -> None:
         print(f"1 Mb zero-repair  : {100*y:.2f} % yield")
 
 
-def _make_runner(args):
-    """Build the fault-tolerant runner the CLI flags describe (or None).
-
-    The returned runner is persistent (one pool amortised across the
-    estimator's rounds) and owns a retry policy and, with ``--journal``,
-    a :class:`~repro.engine.journal.RunJournal`.  The caller must close
-    it (see :func:`_finish_runner`).
-    """
-    from repro.engine.journal import RunJournal
-    from repro.engine.sharding import RetryPolicy, ShardedRunner, resolve_shards
-
-    if args.retries < 0:
-        raise ConfigError(f"--retries must be >= 0, got {args.retries}")
-    if args.resume and not args.journal:
-        raise ConfigError("--resume requires --journal PATH")
-    if args.retries == 0 and args.shard_timeout is None and not args.journal:
-        return None
-    if args.journal and resolve_shards(args.shards, args.workers) < 2:
-        raise ConfigError(
-            "--journal needs a shard plan to checkpoint: set --shards >= 2 "
-            "(or --workers >= 2)"
-        )
-    journal = RunJournal(args.journal, resume=args.resume) if args.journal else None
-    retry = RetryPolicy(max_attempts=args.retries + 1, timeout=args.shard_timeout)
-    return ShardedRunner(
-        workers=args.workers, persistent=True, retry=retry, journal=journal
-    )
-
-
-def _finish_runner(runner) -> None:
-    if runner is not None:
-        runner.close()
-        if runner.journal is not None:
-            runner.journal.close()
-
-
-def _report_faults(runner) -> None:
-    if runner is None:
-        return
-    s = runner.fault_stats
-    if any(
-        s[k]
-        for k in ("retries", "timeouts", "worker_deaths", "pool_recycles", "replayed")
-    ):
-        print(
-            f"fault tolerance   : retries {s['retries']}, "
-            f"timeouts {s['timeouts']}, "
-            f"worker deaths {s['worker_deaths']}, "
-            f"pool recycles {s['pool_recycles']}, "
-            f"journal replays {s['replayed']}"
-        )
-
-
 def _setup_plan_cache(args):
     """Activate the compiled-plan cache the flags describe; returns it.
 
@@ -401,28 +328,18 @@ def _build_request(args, workload: str, spec: float, knobs: dict):
     return api.EstimateRequest(
         workload=workload, spec=spec, method="gis", seed=args.seed,
         budget=args.budget, rel_err=args.rel_err, n_starts=args.starts,
-        workers=args.workers, n_shards=args.shards, retries=args.retries,
+        workers=args.workers, n_shards=args.shards,
         shard_timeout=args.shard_timeout, knobs=knobs,
     )
 
 
 def _run_request(args, workload: str, spec: float, knobs: dict):
-    """Execute one sigma subcommand through the :mod:`repro.api` facade.
-
-    Builds the same :class:`~repro.api.EstimateRequest` the HTTP service
-    would run, attaches the CLI-owned fault-tolerant runner when the
-    flags ask for one (journaling is a CLI-only concern, so the runner
-    is built here and handed in), and returns ``(result, runner)``.
-    """
+    """Execute one sigma subcommand through the :mod:`repro.api` facade:
+    the same :class:`~repro.api.EstimateRequest` the HTTP service would
+    run."""
     from repro import api
 
-    request = _build_request(args, workload, spec, knobs)
-    runner = _make_runner(args)
-    try:
-        result = api.estimate(request, runner=runner)
-    finally:
-        _finish_runner(runner)
-    return result, runner
+    return api.estimate(_build_request(args, workload, spec, knobs))
 
 
 def _emit_json(result) -> int:
@@ -470,11 +387,10 @@ def _run_sigma(args, kind: str) -> int:
     if system:
         note += f"  (system-level, sa={args.sa_model})"
 
-    result, runner = _run_request(args, workload, spec, knobs)
+    result = _run_request(args, workload, spec, knobs)
     if args.json:
         return _emit_json(result)
     _report(result, spec, note)
-    _report_faults(runner)
     _report_plan_cache(plan_cache)
     return 0
 
@@ -489,7 +405,7 @@ def _run_sa_sigma(args) -> int:
     # forwarded.  The bisection-matched MPFP tolerances ride along as
     # the workload's registered estimator options.
     knobs = {"vdd": args.vdd, "kernel": args.kernel}
-    result, runner = _run_request(args, "sa-offset", spec, knobs)
+    result = _run_request(args, "sa-offset", spec, knobs)
     if args.json:
         return _emit_json(result)
     lo, hi = result.ci()
@@ -503,7 +419,6 @@ def _run_sa_sigma(args) -> int:
     if 0 < result.p_fail < 1:
         y = array_yield(result.p_fail, 1 << 20)
         print(f"1 Mb zero-repair  : {100*y:.2f} % yield")
-    _report_faults(runner)
     _report_plan_cache(plan_cache)
     return 0
 
@@ -514,12 +429,11 @@ def _run_column_sigma(args) -> int:
     knobs = {"n_leakers": args.leakers, "leaker_data": args.leaker_data,
              "vdd": args.vdd, "n_steps": args.n_steps, "kernel": args.kernel,
              "assembly": args.assembly}
-    result, runner = _run_request(args, "column-read", spec, knobs)
+    result = _run_request(args, "column-read", spec, knobs)
     if args.json:
         return _emit_json(result)
     _report(result, spec, f"  (column, {args.leakers} leakers, "
                           f"dim {result.dim})")
-    _report_faults(runner)
     _report_plan_cache(plan_cache)
     return 0
 
@@ -531,12 +445,11 @@ def _run_array_sigma(args) -> int:
              "leaker_data": args.leaker_data, "vdd": args.vdd,
              "n_steps": args.n_steps, "kernel": args.kernel,
              "assembly": args.assembly, "solver": args.solver}
-    result, runner = _run_request(args, "array-read", spec, knobs)
+    result = _run_request(args, "array-read", spec, knobs)
     if args.json:
         return _emit_json(result)
     _report(result, spec, f"  (array, {args.cols} cols x "
                           f"{args.leakers + 1} cells, dim {result.dim})")
-    _report_faults(runner)
     _report_plan_cache(plan_cache)
     return 0
 
@@ -678,17 +591,11 @@ def main(argv: Optional[list] = None) -> int:
         if args.command == "compare":
             return _run_compare(args)
     except ConfigError as exc:
-        # Semantic flag conflicts (e.g. --resume without --journal) exit
-        # like argparse rejections: one readable line, status 2, naming
-        # the A0xx code of a refused request.
+        # Semantic flag conflicts exit like argparse rejections: one
+        # readable line, status 2, naming the A0xx code of a refused
+        # request.
         code = getattr(exc, "code", None)
         print(f"error: {exc}" + (f" [{code}]" if code and code not in str(exc) else ""))
-        return 2
-    except JournalError as exc:
-        # A refused resume (D005–D007: the journal was recorded under a
-        # different plan) is a usage error, not a crash: the diagnostic
-        # already names the mismatch and the fix.
-        print(f"error: {exc}")
         return 2
     raise ConfigError(f"unhandled command {args.command!r}")
 

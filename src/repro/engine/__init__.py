@@ -26,13 +26,10 @@ The static side of the determinism contract lives in
 proves a shard plan's streams disjoint and its budgets the canonical
 split (the ``D0xx`` codes) before anything runs.
 
-Fault tolerance layers on top without touching the contract:
-:class:`~repro.engine.sharding.RetryPolicy` re-dispatches failed, lost
-or timed-out shard jobs (bit-identical by construction — same index,
-same stream, same budget), :class:`~repro.engine.journal.RunJournal`
-checkpoints completed shards to disk and replays them on an audited
-resume (codes ``D005``–``D007``), and :mod:`repro.engine.chaos` is the
-deterministic fault-injection harness that proves recovery exact.
+Failures are detected, not recovered: the first shard that raises, loses
+its worker or outlives ``ShardedRunner(timeout=...)`` ends the run with
+a typed :class:`~repro.errors.ShardExecutionError`, and the run closes
+its pool.
 """
 
 from repro.engine.accumulator import StreamingAccumulator
@@ -41,14 +38,9 @@ from repro.engine.audit import (
     audit_runner_merge,
     audit_shard_plan,
 )
-from repro.engine.chaos import ChaosTask, FaultInjected, FaultSpec, reject_non_finite
-from repro.engine.journal import RunJournal, plan_fingerprint
 from repro.engine.sharding import (
-    RetryPolicy,
     ShardedRunner,
     ShardResult,
-    current_attempt,
-    in_pool_worker,
     spawn_generators,
     split_budget,
 )
@@ -57,15 +49,6 @@ __all__ = [
     "StreamingAccumulator",
     "ShardedRunner",
     "ShardResult",
-    "RetryPolicy",
-    "RunJournal",
-    "ChaosTask",
-    "FaultSpec",
-    "FaultInjected",
-    "reject_non_finite",
-    "plan_fingerprint",
-    "current_attempt",
-    "in_pool_worker",
     "spawn_generators",
     "split_budget",
     "audit_shard_plan",

@@ -37,22 +37,18 @@ Mechanics:
   run, so eval accounting reconciles exactly across processes (the
   in-process path already counted them on the parent object).
 
-Fault tolerance rides on the same contract.  Shard jobs are dispatched
-*individually* (``apply_async`` per shard, not one blocking ``map``), so
-the runner can watch each in-flight attempt: a raised exception, a dead
-worker, or a timed-out attempt triggers a re-dispatch of the identical
-``(index, stream, budget)`` job under a :class:`RetryPolicy` — and
-because shard execution is a pure function of that triple, a retried run
-merges **bit-identical** to a fault-free one (``tests/engine/test_chaos.py``
-pins this with injected faults).  Worker death is detected by pid
-snapshots (``multiprocessing.Pool`` replaces dead workers but silently
-loses their in-flight jobs); hung workers cannot be cancelled through
-the Pool API, so a timeout recycles the whole pool.  Completed shards
-can be journaled incrementally (:class:`repro.engine.journal.RunJournal`)
-and replayed on resume after an audit.  Failures surface as typed
-:class:`~repro.errors.ShardExecutionError`, and every run leaves a
-diagnostics dict (:attr:`ShardedRunner.last_diagnostics`) recording
-retries, timeouts, worker replacements and per-attempt wall clock.
+Failures are detected, never recovered.  A pooled run dispatches each
+shard once (``apply_async`` per shard, not one blocking ``map``), so the
+runner can watch every job in flight: a raised exception, a dead worker
+or a job still running past ``timeout`` ends the run with a typed
+:class:`~repro.errors.ShardExecutionError` naming the shard.  Worker
+death is detected by pid snapshots (``multiprocessing.Pool`` replaces
+dead workers but silently loses their in-flight jobs); a hung worker
+cannot be cancelled through the Pool API.  Either way the failed run
+closes its pool, and a persistent runner respawns one on its next call.
+A shard is a pure function of its ``(index, stream, budget)``, so
+re-running it would redo identical work; a caller that wants another
+try runs the estimate again.
 """
 
 from __future__ import annotations
@@ -65,19 +61,16 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.errors import EstimationError, ShardExecutionError
 
 __all__ = [
-    "RetryPolicy",
     "ShardResult",
     "ShardedRunner",
-    "current_attempt",
     "fork_available",
-    "in_pool_worker",
     "resolve_shards",
     "run_sharded",
     "scale_shard_target",
@@ -158,48 +151,6 @@ class ShardResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How :class:`ShardedRunner` reacts when a shard attempt fails.
-
-    ``max_attempts`` bounds the total executions of one shard (``1``
-    disables retries).  ``timeout`` (seconds, pooled execution only)
-    declares an in-flight attempt lost and recycles the pool — a hung
-    worker cannot be cancelled through the Pool API, so the whole pool is
-    torn down and respawned.  ``backoff`` sleeps
-    ``backoff * 2**(failures-1)`` seconds before a re-dispatch.
-    ``validate`` inspects a completed :class:`ShardResult` and returns a
-    rejection reason (or ``None`` to accept); a rejected payload counts
-    as a failed attempt — the hook that turns silently-corrupt results
-    (NaN payloads) into retries.
-
-    Retries preserve determinism by construction: a re-dispatched shard
-    re-runs the identical ``(index, stream, budget)`` job, so a run with
-    retries merges bit-identical to a fault-free run of the same plan.
-    """
-
-    max_attempts: int = 1
-    timeout: Optional[float] = None
-    backoff: float = 0.0
-    validate: Optional[Callable[[ShardResult], Optional[str]]] = None
-
-    def __post_init__(self) -> None:
-        if int(self.max_attempts) < 1:
-            raise EstimationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.timeout is not None and not float(self.timeout) > 0:
-            raise EstimationError(f"timeout must be positive, got {self.timeout}")
-        if float(self.backoff) < 0:
-            raise EstimationError(f"backoff must be >= 0, got {self.backoff}")
-
-    def delay(self, failures: int) -> float:
-        """Seconds to wait before the dispatch following ``failures``."""
-        if self.backoff <= 0 or failures < 1:
-            return 0.0
-        return float(self.backoff) * (2.0 ** (failures - 1))
-
-
 # Fork-pool plumbing: the task closure (typically capturing a limit
 # state full of unpicklable simulator closures) is published into a
 # keyed module-level registry *before* the pool forks, so children
@@ -219,10 +170,6 @@ _POOL_KEYS = itertools.count()
 # forked mid-lifetime: the flag a shard task uses to detect that it is
 # already inside a pool worker and must run nested plans in-process.
 _IN_POOL_WORKER = False
-# Which execution attempt (0-based) of its shard the currently-running
-# task belongs to — set around every task invocation (worker or
-# in-process) so deterministic fault injection can key on it.
-_CURRENT_ATTEMPT = 0
 
 
 def _mark_pool_worker() -> None:
@@ -230,29 +177,9 @@ def _mark_pool_worker() -> None:
     _IN_POOL_WORKER = True
 
 
-def in_pool_worker() -> bool:
-    """Whether this process is a ShardedRunner pool worker."""
-    return _IN_POOL_WORKER
-
-
-def current_attempt() -> int:
-    """The 0-based attempt number of the shard task currently running."""
-    return _CURRENT_ATTEMPT
-
-
-def _run_attempt(task, index: int, rng, budget: int, attempt: int) -> ShardResult:
-    global _CURRENT_ATTEMPT
-    _CURRENT_ATTEMPT = int(attempt)
-    try:
-        return task(index, rng, int(budget))
-    finally:
-        _CURRENT_ATTEMPT = 0
-
-
 def _invoke_shard(args) -> ShardResult:
-    # Older journals/jobs carry 4-tuples; the attempt number is optional.
-    key, index, rng, budget, *rest = args
-    return _run_attempt(_POOL_TASKS[key], index, rng, budget, rest[0] if rest else 0)
+    key, index, rng, budget = args
+    return _POOL_TASKS[key](index, rng, int(budget))
 
 
 # Per-worker memo of the last unpickled spawn task, keyed on the job
@@ -274,31 +201,22 @@ def _invoke_spawned_shard(args) -> ShardResult:
     # created the pool — a task reaching back to its runner must never
     # see a live pool object mid-pickle), so there is no registry to
     # consult.
-    task, index, rng, budget, *rest = args
-    if isinstance(task, bytes):
-        digest = hashlib.sha256(task).hexdigest()
-        memo = _SPAWN_TASK_MEMO.get(digest)
-        if memo is None:
-            memo = pickle.loads(task)
-            _SPAWN_TASK_MEMO.clear()
-            _SPAWN_TASK_MEMO[digest] = memo
-        task = memo
-    return _run_attempt(task, index, rng, budget, rest[0] if rest else 0)
+    blob, index, rng, budget = args
+    digest = hashlib.sha256(blob).hexdigest()
+    task = _SPAWN_TASK_MEMO.get(digest)
+    if task is None:
+        task = pickle.loads(blob)
+        _SPAWN_TASK_MEMO.clear()
+        _SPAWN_TASK_MEMO[digest] = task
+    return task(index, rng, int(budget))
 
 
-def _clone_generator(rng):
-    """A state-identical copy of ``rng`` for one execution attempt.
-
-    Pool dispatch gets this for free (the parent-side generator is
-    pickled into every job, so a failed attempt dies with its worker's
-    copy); the in-process path must clone explicitly, or a failed
-    attempt would advance the plan's stream and the retry would draw
-    different samples than the fault-free run.
-    """
-    try:
-        return pickle.loads(pickle.dumps(rng))
-    except Exception:
-        return rng
+def _shard_error(index: int, exc: BaseException) -> ShardExecutionError:
+    return ShardExecutionError(
+        f"shard {index} failed: {type(exc).__name__}: {exc}",
+        shard_index=index,
+        cause=exc,
+    )
 
 
 def fork_available() -> bool:
@@ -343,19 +261,6 @@ class _MeasuredShardTask:
     __hash__ = None  # identity/equality only; never used as a dict key
 
 
-# Counters rolled up from per-run diagnostics into the runner-lifetime
-# ``fault_stats`` total.
-_FAULT_COUNTERS = (
-    "retries",
-    "timeouts",
-    "worker_deaths",
-    "worker_replacements",
-    "pool_recycles",
-    "replayed",
-    "skipped_empty",
-)
-
-
 class ShardedRunner:
     """Execute shard tasks serially or on a process pool, results in order.
 
@@ -384,28 +289,16 @@ class ShardedRunner:
         through the pickle pipe, so it needs a picklable task; an
         unpicklable task falls back to in-process execution with a
         ``RuntimeWarning`` — loud, never silent.
-    retry:
-        A :class:`RetryPolicy`; ``None`` means one attempt, no timeout.
-    journal:
-        A :class:`repro.engine.journal.RunJournal`.  Completed shards
-        are recorded incrementally; on a resume journal, already-recorded
-        shards of the identical plan are replayed instead of re-executed
-        (the plan passes ``assert_shard_plan_clean`` plus the journal's
-        own D005–D007 audit before any replay).
-    chaos:
-        A sequence of :class:`repro.engine.chaos.FaultSpec` — the
-        deterministic fault-injection harness.  Faults are keyed by
-        ``(shard, attempt)``, so a faulted run with retries must merge
-        bit-identical to a fault-free run.  Test/benchmark machinery;
-        never set in production paths.
+    timeout:
+        Seconds a pooled shard job may run before the run ends with a
+        :class:`~repro.errors.ShardExecutionError` (``None``: no
+        deadline).  Pooled execution only — an in-process shard cannot
+        be interrupted, so setting it there warns once.  No fixed
+        default is safe: a shard's wall time scales with its budget.
 
     After every :meth:`run_shards` call, :attr:`last_mode` records which
     execution path actually ran (``"in-process"``, ``"fork"`` or
-    ``"spawn"``) and :attr:`last_diagnostics` the run's fault-tolerance
-    diagnostics (retries, timeouts, worker deaths/replacements, pool
-    recycles, journal replays, per-shard attempt wall clock).
-    :attr:`fault_stats` accumulates the counters over the runner's
-    lifetime.
+    ``"spawn"``).
     """
 
     def __init__(
@@ -413,27 +306,19 @@ class ShardedRunner:
         workers: int = 1,
         persistent: bool = False,
         start_method: Optional[str] = None,
-        retry: Optional[RetryPolicy] = None,
-        journal=None,
-        chaos: Sequence[Any] = (),
+        timeout: Optional[float] = None,
     ):
         if start_method not in (None, "fork", "spawn"):
             raise EstimationError(
                 f"start_method must be None, 'fork' or 'spawn', got {start_method!r}"
             )
-        if retry is not None and not isinstance(retry, RetryPolicy):
-            raise EstimationError(
-                f"retry must be a RetryPolicy, got {type(retry).__name__}"
-            )
+        if timeout is not None and not float(timeout) > 0:
+            raise EstimationError(f"timeout must be positive, got {timeout}")
         self.workers = max(1, int(workers))
         self.persistent = bool(persistent)
         self.start_method = start_method
-        self.retry = retry
-        self.journal = journal
-        self.chaos = tuple(chaos)
+        self.timeout = None if timeout is None else float(timeout)
         self.last_mode: Optional[str] = None
-        self.last_diagnostics: Dict[str, Any] = {}
-        self.fault_stats: Dict[str, int] = {k: 0 for k in _FAULT_COUNTERS}
         self._poll_s = 0.02
         self._warned_local_timeout = False
         self._pool = None
@@ -508,26 +393,19 @@ class ShardedRunner:
         self._pool_method = method
         self._pool_task = task
 
-    def _respawn_pool(self, method: str, task, n_jobs: int) -> None:
-        self.close()
-        self._ensure_pool(method, task, n_jobs)
-
     def _worker_pids(self) -> Set[int]:
         pool = self._pool
         if pool is None:
             return set()
         return {p.pid for p in list(getattr(pool, "_pool", [])) if p.is_alive()}
 
-    def _wait_tick(self, inflight: Dict[int, list]) -> None:
+    def _wait_tick(self, inflight: Dict[int, Any]) -> None:
         """One scheduler pause: block briefly on some in-flight result.
 
         Isolated as a seam so tests can inject ``KeyboardInterrupt``
         mid-run and pin the cleanup behavior.
         """
-        if inflight:
-            next(iter(inflight.values()))[0].wait(self._poll_s)
-        else:
-            time.sleep(self._poll_s)
+        next(iter(inflight.values())).wait(self._poll_s)
 
     # -- execution -----------------------------------------------------
 
@@ -537,82 +415,40 @@ class ShardedRunner:
         rngs: Sequence[np.random.Generator],
         budgets: Sequence[int],
         limit_state=None,
-        total: Optional[int] = None,
-        parent: Optional[np.random.Generator] = None,
         skip_empty: bool = True,
     ) -> List[ShardResult]:
         """Run ``task(i, rngs[i], budgets[i])`` for every shard.
 
         Results come back ordered by shard index regardless of execution
-        order, retries, journal replay or worker churn.  When shards ran
-        outside the calling process (pool workers, or replayed from a
-        journal) and ``limit_state`` is given, their evaluation counts
-        are added to ``limit_state.n_evals``; shards executed in-process
-        bill it directly while running — either way the final count
-        reconciles exactly with a fault-free ``workers=1`` run.
+        order.  When shards ran in pool workers and ``limit_state`` is
+        given, their evaluation counts are added to
+        ``limit_state.n_evals``; shards executed in-process bill it
+        directly while running — either way the final count reconciles
+        exactly with a ``workers=1`` run.
 
-        ``total``/``parent`` feed the D002/D004 checks of the plan audit
-        that gates journal use.  ``skip_empty=True`` (default) runs
-        zero-budget shards in the calling process instead of shipping
-        empty jobs to the pool; pass ``False`` for tasks whose budget
-        argument is not a sample count (e.g. search stages).
+        The first failing shard ends the run with a
+        :class:`~repro.errors.ShardExecutionError` naming it.
+        ``skip_empty=True`` (default) runs zero-budget shards in the
+        calling process instead of shipping empty jobs to the pool; pass
+        ``False`` for tasks whose budget argument is not a sample count
+        (e.g. search stages).
         """
         if len(rngs) != len(budgets):
             raise EstimationError("one RNG stream per shard budget is required")
         budgets = [int(b) for b in budgets]
         n = len(rngs)
-        retry = self.retry if self.retry is not None else RetryPolicy()
-        if self.chaos:
-            # Imported lazily: the chaos module imports this one.
-            from repro.engine.chaos import ChaosTask
-
-            task = ChaosTask(task, self.chaos)
-
-        stats: Dict[str, Any] = {
-            "shards": n,
-            "mode": None,
-            "attempt_wall": {},
-            "failures": {},
-        }
-        for key in _FAULT_COUNTERS:
-            stats[key] = 0
-        self.last_diagnostics = stats
-
-        results: Dict[int, ShardResult] = {}
-        if self.journal is not None:
-            # Admission gate: a journaled plan is an out-of-process plan.
-            # Imported lazily: the audit module imports this one.
-            from repro.engine.audit import assert_shard_plan_clean
-
-            assert_shard_plan_clean(rngs, budgets, total=total, parent=parent)
-            replayed = self.journal.begin_round(rngs, budgets)
-            if retry.validate is not None:
-                replayed = {
-                    i: r for i, r in replayed.items() if retry.validate(r) is None
-                }
-            results.update(replayed)
-            stats["replayed"] = len(replayed)
-
-        pending = [i for i in range(n) if i not in results]
         if skip_empty:
-            local = [i for i in pending if budgets[i] == 0]
-            pooled_idx = [i for i in pending if budgets[i] > 0]
+            local = [i for i in range(n) if budgets[i] == 0]
+            pooled_idx = [i for i in range(n) if budgets[i] > 0]
         else:
-            local, pooled_idx = [], list(pending)
+            local, pooled_idx = [], list(range(n))
 
-        method = self._resolve_method(len(pooled_idx), task) if pooled_idx else None
+        method, blob = self._resolve_method(len(pooled_idx), task)
         if method is None:
-            local, pooled_idx = pending, []
-        else:
-            stats["skipped_empty"] = len(local)
-        stats["mode"] = self.last_mode = method if method is not None else "in-process"
+            local, pooled_idx = list(range(n)), []
+        self.last_mode = method if method is not None else "in-process"
 
-        if (
-            method is None
-            and retry.timeout is not None
-            and pending
-            and not self._warned_local_timeout
-        ):
+        if method is None and self.timeout is not None and not self._warned_local_timeout:
             warnings.warn(
                 "ShardedRunner: shard timeouts are only enforced for pooled "
                 "execution; running in-process without timeout enforcement",
@@ -621,45 +457,39 @@ class ShardedRunner:
             )
             self._warned_local_timeout = True
 
-        executed_locally: Set[int] = set()
+        results: Dict[int, ShardResult] = {}
         try:
             for i in local:
-                results[i] = self._run_local(
-                    task, i, rngs[i], budgets[i], retry, limit_state, stats
-                )
-                executed_locally.add(i)
+                try:
+                    results[i] = task(i, rngs[i], budgets[i])
+                except Exception as exc:
+                    raise _shard_error(i, exc) from exc
             if pooled_idx:
-                jobs = {i: (rngs[i], budgets[i]) for i in pooled_idx}
-                results.update(self._run_pooled(method, task, jobs, retry, stats))
+                results.update(self._run_pooled(method, task, blob, pooled_idx, rngs, budgets))
         except BaseException:
             # A failed run can leave dead or hung workers (and their
             # registry entry) behind; never hand the next call a broken
             # pool — close now, respawn on demand.
             self.close()
             raise
-        finally:
-            for key in _FAULT_COUNTERS:
-                self.fault_stats[key] += stats[key]
         if not self.persistent:
             self.close()
 
-        ordered = [results[i] for i in range(n)]
         if limit_state is not None:
             # Locally-executed shards billed the parent's limit state
-            # while running; pooled and journal-replayed shards consumed
-            # their evals elsewhere (a worker process, the interrupted
-            # run) and are credited here.
-            limit_state.n_evals += sum(
-                r.n_evals for i, r in results.items() if i not in executed_locally
-            )
-        return ordered
+            # while running; pooled shards consumed their evals in a
+            # worker process and are credited here.
+            limit_state.n_evals += sum(results[i].n_evals for i in pooled_idx)
+        return [results[i] for i in range(n)]
 
-    def _resolve_method(self, n_jobs: int, task) -> Optional[str]:
-        """Pick the execution path for this call (None = in-process)."""
+    def _resolve_method(self, n_jobs: int, task) -> Tuple[Optional[str], Optional[bytes]]:
+        """Pick the execution path for this call: ``(None, None)`` runs
+        in-process; a spawn pool also gets the task's pickled bytes, the
+        one serialization its jobs ship."""
         if self.workers == 1 or n_jobs <= 1 or _IN_POOL_WORKER:
             # Nested sharding (a shard trying to shard again) would fork
             # from inside a pool worker; run inner plans in-process.
-            return None
+            return None, None
         method = self.start_method
         if method is None:
             if fork_available():
@@ -667,217 +497,77 @@ class ShardedRunner:
             elif spawn_available():
                 method = "spawn"
             else:
-                return None
+                return None, None
         elif method == "fork" and not fork_available():
             raise EstimationError("start_method='fork' is unavailable on this platform")
         elif method == "spawn" and not spawn_available():
             raise EstimationError("start_method='spawn' is unavailable on this platform")
-        if method == "spawn":
-            try:
-                pickle.dumps(task)
-            except Exception as exc:
-                warnings.warn(
-                    "ShardedRunner: task is not picklable "
-                    f"({type(exc).__name__}: {exc}); running "
-                    f"{n_jobs} shards in-process instead of on a spawn pool",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                return None
-        return method
-
-    def _journal_record(self, result: ShardResult) -> None:
-        if self.journal is not None:
-            self.journal.record(result)
-
-    def _run_local(
-        self, task, index: int, rng, budget: int, retry: RetryPolicy, limit_state, stats
-    ) -> ShardResult:
-        """Execute one shard in the calling process under the retry policy.
-
-        A failed attempt must leave no trace: the RNG is cloned per
-        attempt (the stream must not advance), and the parent limit
-        state's eval count is snapshot-restored, so the eventual
-        successful attempt reproduces the fault-free run bit for bit —
-        including its accounting.
-        """
-        walls = stats["attempt_wall"].setdefault(index, [])
-        failures = 0
-        while True:
-            snap_evals = None if limit_state is None else limit_state.n_evals
-            start = time.perf_counter()
-            try:
-                result = _run_attempt(task, index, _clone_generator(rng), budget, failures)
-                reason = None if retry.validate is None else retry.validate(result)
-                if reason is not None:
-                    raise EstimationError(f"shard {index} payload rejected: {reason}")
-            except Exception as exc:
-                walls.append(time.perf_counter() - start)
-                failures += 1
-                stats["failures"][index] = failures
-                if snap_evals is not None:
-                    limit_state.n_evals = snap_evals
-                if failures >= retry.max_attempts:
-                    raise ShardExecutionError(
-                        f"shard {index} failed after {failures} attempt(s): "
-                        f"{type(exc).__name__}: {exc}",
-                        shard_index=index,
-                        attempts=failures,
-                        cause=exc,
-                    ) from exc
-                stats["retries"] += 1
-                if retry.delay(failures) > 0:
-                    time.sleep(retry.delay(failures))
-                continue
-            walls.append(time.perf_counter() - start)
-            self._journal_record(result)
-            return result
-
-    def _dispatch(
-        self,
-        method: str,
-        index: int,
-        job,
-        attempt: int,
-        retry: RetryPolicy,
-        task_blob: Optional[bytes],
-    ) -> list:
-        rng, budget = job
         if method == "fork":
-            payload = (self._pool_key, index, rng, int(budget), int(attempt))
-            ar = self._pool.apply_async(_invoke_shard, (payload,))
-        else:
-            payload = (task_blob, index, rng, int(budget), int(attempt))
-            ar = self._pool.apply_async(_invoke_spawned_shard, (payload,))
-        started = time.monotonic()
-        deadline = None if retry.timeout is None else started + float(retry.timeout)
-        return [ar, deadline, started]
-
-    def _shard_failed(
-        self,
-        index: int,
-        exc: BaseException,
-        failures: Dict[int, int],
-        ready_at: Dict[int, float],
-        retry: RetryPolicy,
-        stats: Dict[str, Any],
-    ) -> None:
-        """Count one failed attempt; raise typed when the budget is spent."""
-        failures[index] += 1
-        stats["failures"][index] = failures[index]
-        if failures[index] >= retry.max_attempts:
-            raise ShardExecutionError(
-                f"shard {index} failed after {failures[index]} attempt(s): "
-                f"{type(exc).__name__}: {exc}",
-                shard_index=index,
-                attempts=failures[index],
-                cause=exc,
-            ) from exc
-        stats["retries"] += 1
-        ready_at[index] = time.monotonic() + retry.delay(failures[index])
+            return method, None
+        # Pickled *before* the pool exists: a task holding a reference
+        # back to this runner would otherwise reach the live (unpicklable)
+        # pool object.
+        try:
+            return method, pickle.dumps(task)
+        except Exception as exc:
+            warnings.warn(
+                "ShardedRunner: task is not picklable "
+                f"({type(exc).__name__}: {exc}); running "
+                f"{n_jobs} shards in-process instead of on a spawn pool",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return None, None
 
     def _run_pooled(
-        self, method: str, task, jobs: Dict[int, tuple], retry: RetryPolicy, stats
+        self,
+        method: str,
+        task,
+        blob: Optional[bytes],
+        indices: List[int],
+        rngs: Sequence[np.random.Generator],
+        budgets: List[int],
     ) -> Dict[int, ShardResult]:
-        """Per-shard async dispatch with retries, timeouts and death watch.
+        """Dispatch each shard once and collect the results.
 
-        Every shard is its own ``apply_async`` job carrying its attempt
-        number.  The loop collects completions, re-dispatches failures
-        (after backoff), declares attempts past their deadline lost
-        (recycling the pool — hung workers cannot be cancelled), and
-        watches worker pids: ``multiprocessing.Pool`` replaces a dead
-        worker but silently loses its in-flight job, so every incomplete
-        in-flight shard is conservatively re-dispatched on a death.
-        First result wins; duplicate executions of a deterministic shard
-        are bit-identical, so re-dispatching possibly-lost work is safe.
+        Every shard is its own ``apply_async`` job, so the loop can watch
+        each one: a job that raised, a worker that died (its pid left the
+        pool — ``multiprocessing.Pool`` replaces a dead worker but
+        silently loses its in-flight job) or a job unfinished at the
+        deadline raises :class:`~repro.errors.ShardExecutionError` for
+        the lowest such shard index.
         """
-        # Spawn jobs carry the task as a pre-serialized blob: it must be
-        # pickled *before* the pool exists, because a task holding a
-        # reference back to this runner would otherwise reach the live
-        # (unpicklable) pool object.
-        task_blob = pickle.dumps(task) if method == "spawn" else None
-        self._ensure_pool(method, task, len(jobs))
-        done: Dict[int, ShardResult] = {}
-        inflight: Dict[int, list] = {}
-        failures: Dict[int, int] = {i: 0 for i in jobs}
-        ready_at: Dict[int, float] = {i: 0.0 for i in jobs}
+        self._ensure_pool(method, task, len(indices))
+        # Snapshot before dispatch: a worker that dies on its first job
+        # must already be in the set whose shrinking reveals the death.
         pids = self._worker_pids()
-        while len(done) < len(jobs):
-            now = time.monotonic()
-            for i in sorted(jobs):
-                if i in done or i in inflight or now < ready_at[i]:
-                    continue
-                inflight[i] = self._dispatch(
-                    method, i, jobs[i], failures[i], retry, task_blob
-                )
+        inflight: Dict[int, Any] = {}
+        for i in indices:
+            if method == "fork":
+                job = (_invoke_shard, ((self._pool_key, i, rngs[i], budgets[i]),))
+            else:
+                job = (_invoke_spawned_shard, ((blob, i, rngs[i], budgets[i]),))
+            inflight[i] = self._pool.apply_async(*job)
+        deadline = None if self.timeout is None else time.monotonic() + self.timeout
+        done: Dict[int, ShardResult] = {}
+        while inflight:
             self._wait_tick(inflight)
-            now = time.monotonic()
-            recycle = False
-            for i in list(inflight):
-                ar, deadline, started = inflight[i]
-                if ar.ready():
-                    del inflight[i]
-                    stats["attempt_wall"].setdefault(i, []).append(now - started)
-                    try:
-                        result = ar.get()
-                        reason = None if retry.validate is None else retry.validate(result)
-                        if reason is not None:
-                            raise EstimationError(
-                                f"shard {i} payload rejected: {reason}"
-                            )
-                    except Exception as exc:
-                        self._shard_failed(i, exc, failures, ready_at, retry, stats)
-                        continue
-                    if i not in done:
-                        done[i] = result
-                        self._journal_record(result)
-                elif deadline is not None and now >= deadline:
-                    del inflight[i]
-                    stats["attempt_wall"].setdefault(i, []).append(now - started)
-                    stats["timeouts"] += 1
-                    recycle = True
-                    self._shard_failed(
-                        i,
-                        EstimationError(
-                            f"shard {i} attempt timed out after {retry.timeout:.3g}s"
-                        ),
-                        failures,
-                        ready_at,
-                        retry,
-                        stats,
-                    )
-            live = self._worker_pids()
-            dead = pids - live
+            for i in [i for i, ar in inflight.items() if ar.ready()]:
+                try:
+                    done[i] = inflight.pop(i).get()
+                except Exception as exc:
+                    raise _shard_error(i, exc) from exc
+            if not inflight:
+                break
+            first = min(inflight)
+            dead = pids - self._worker_pids()
             if dead:
-                stats["worker_deaths"] += len(dead)
-                stats["worker_replacements"] += len(dead)
-                for i in list(inflight):
-                    ar, deadline, started = inflight[i]
-                    if ar.ready():
-                        continue
-                    del inflight[i]
-                    stats["attempt_wall"].setdefault(i, []).append(
-                        time.monotonic() - started
-                    )
-                    self._shard_failed(
-                        i,
-                        EstimationError(
-                            f"worker process died (pids {sorted(dead)}) with "
-                            f"shard {i} in flight"
-                        ),
-                        failures,
-                        ready_at,
-                        retry,
-                        stats,
-                    )
-            if recycle:
-                stats["pool_recycles"] += 1
-                stats["worker_replacements"] += max(len(live), 1)
-                # Jobs still in flight on the doomed pool die with it;
-                # they return to pending at their current attempt count.
-                inflight.clear()
-                self._respawn_pool(method, task, len(jobs))
-            pids = self._worker_pids()
+                reason = f"worker process died (pids {sorted(dead)}) with shard {first} in flight"
+            elif deadline is not None and time.monotonic() >= deadline:
+                reason = f"shard {first} timed out after {self.timeout:.3g}s"
+            else:
+                continue
+            raise _shard_error(first, EstimationError(reason))
         return done
 
 
@@ -899,23 +589,15 @@ def run_sharded(
     reconciled into ``limit_state``).
 
     ``runner`` lets the caller supply a long-lived (possibly persistent)
-    :class:`ShardedRunner` — also the hook for fault tolerance: a runner
-    carrying a :class:`RetryPolicy` and/or a journal applies them to
-    every estimator round dispatched through it.  Pass a *stable*
-    ``shard_fn`` (a bound method, not a fresh lambda) so the persistent
-    pool recognises repeat runs of the same task and skips the respawn.
+    :class:`ShardedRunner`, whose ``timeout`` then applies to every
+    estimator round dispatched through it.  Pass a *stable* ``shard_fn``
+    (a bound method, not a fresh lambda) so the persistent pool
+    recognises repeat runs of the same task and skips the respawn.
     """
     rngs = spawn_generators(rng, n_shards)
     budgets = split_budget(budget, n_shards)
     task = _MeasuredShardTask(shard_fn, limit_state)
     if runner is None:
         runner = ShardedRunner(workers)
-    results = runner.run_shards(
-        task,
-        rngs,
-        budgets,
-        limit_state=limit_state,
-        total=int(budget),
-        parent=rng,
-    )
+    results = runner.run_shards(task, rngs, budgets, limit_state=limit_state)
     return [r.payload for r in results]

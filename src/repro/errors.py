@@ -148,35 +148,22 @@ class RequestError(DiagnosticError, ConfigError):
 
 
 class ShardExecutionError(EstimationError):
-    """Raised when a shard exhausts its retry budget.
+    """Raised when a shard of a sharded run fails.
 
-    Carries the shard index, the number of attempts actually made, and
-    the last underlying failure (``cause``), so callers can distinguish
-    "one shard kept timing out" from "the estimator itself is broken".
-    Also an :class:`EstimationError`: a lost shard means the estimate
-    could not be produced.
+    The first shard that raises, loses its worker process or outlives
+    the runner's timeout ends the run.  Carries the shard index and the
+    underlying failure (``cause``), so callers can distinguish "one
+    shard hung" from "the estimator itself is broken".  Also an
+    :class:`EstimationError`: a lost shard means the estimate could not
+    be produced.
     """
 
     def __init__(
         self,
         message: str,
         shard_index: int = -1,
-        attempts: int = 0,
         cause: Optional[BaseException] = None,
     ):
         super().__init__(message)
         self.shard_index = shard_index
-        self.attempts = attempts
         self.cause = cause
-
-
-class JournalError(DiagnosticError, EstimationError):
-    """Raised when a run journal fails its admission audit.
-
-    A journal that does not match the current shard plan (``D005``), or
-    that carries duplicate (``D006``) or out-of-range (``D007``) shard
-    records, must be refused before any journaled result is replayed —
-    the same admission-gate pattern ``assert_plan_clean`` applies to
-    out-of-process compiled plans.  Also an :class:`EstimationError`:
-    resuming from a bad journal would corrupt the estimate.
-    """

@@ -183,12 +183,12 @@ class GradientImportanceSampling:
             # A transient runner, deliberately not self.runner: the search
             # task differs from the sampling task, and submitting it to a
             # shared persistent pool would evict the (far more reused)
-            # sampling snapshot.  The retry policy (if any) carries over so
-            # a flaky search start gets the same fault tolerance as the
-            # sampling stage; the budget entries are placeholders (searches
-            # are not sample-count bounded), so ``skip_empty=False``.
-            retry = getattr(self.runner, "retry", None)
-            with ShardedRunner(min(self.workers, self.n_starts), retry=retry) as runner:
+            # sampling snapshot.  The shard timeout (if any) carries over
+            # so a hung search start is caught like a hung sampling shard;
+            # the budget entries are placeholders (searches are not
+            # sample-count bounded), so ``skip_empty=False``.
+            timeout = getattr(self.runner, "timeout", None)
+            with ShardedRunner(min(self.workers, self.n_starts), timeout=timeout) as runner:
                 shard_results = runner.run_shards(
                     _MpfpStartTask(self),
                     rngs,

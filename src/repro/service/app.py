@@ -10,10 +10,10 @@ the service is exercised without binding a port.
 Routes::
 
     GET    /v1/healthz      liveness + accepting flag
-    GET    /v1/stats        worker budget, queue, plan-cache, faults
+    GET    /v1/stats        worker budget, queue, job counts, plan-cache
     GET    /v1/workloads    registered workload specs (the A001 hint)
     POST   /v1/jobs         submit an EstimateRequest envelope  (202)
-    GET    /v1/jobs         list jobs
+    GET    /v1/jobs         list the jobs held in memory
     GET    /v1/jobs/{id}    poll one job
     DELETE /v1/jobs/{id}    cancel while queued (idempotent)
 
@@ -44,7 +44,7 @@ class ServiceApp:
     Parameters mirror the ``repro.cli serve`` flags: ``workers_total``
     is the machine budget shared by all jobs, ``queue_limit`` the
     backpressure bound, ``spool_dir`` the (cwd-independent) directory
-    settled jobs are journaled to.
+    settled jobs are spooled to.
     """
 
     def __init__(
@@ -104,16 +104,20 @@ class ServiceApp:
 
     def _job_route(self, method: str, job_id: str) -> Response:
         job = self.store.get(job_id)
-        if job is None:
+        spooled = self.store.spooled(job_id) if job is None else None
+        if job is None and spooled is None:
             return 404, error_body("A006", f"unknown job id {job_id!r}")
-        if method == "GET":
-            return 200, job_envelope(job)
+        if method not in ("GET", "DELETE"):
+            return 405, error_body("A006", f"method {method} not allowed on job {job_id!r}")
+        if job is None:
+            # Evicted from memory, hence settled: GET and DELETE alike
+            # report the final state its spool file holds.
+            return 200, spooled
         if method == "DELETE":
             # Cancel-if-queued, report-current-state otherwise: DELETE
             # is idempotent and never errors on a job that already ran.
             self.store.mark_cancelled(job, "cancelled by client")
-            return 200, job_envelope(job)
-        return 405, error_body("A006", f"method {method} not allowed on job {job_id!r}")
+        return 200, job_envelope(job)
 
     # -- lifecycle -----------------------------------------------------
 

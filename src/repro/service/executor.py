@@ -159,15 +159,10 @@ class JobExecutor:
     # -- introspection -------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """The ``/v1/stats`` payload: budget, queue, cache, faults."""
+        """The ``/v1/stats`` payload: budget, queue, job counts, cache."""
         from repro.spice.plan import default_plan_cache
 
         counts = self.store.counts()
-        fault_stats: Dict[str, int] = {}
-        for job in self.store.jobs():
-            if job.result is not None:
-                for key, value in job.result.fault_stats.items():
-                    fault_stats[key] = fault_stats.get(key, 0) + int(value)
         return {
             "accepting": self._accepting,
             "workers_total": self.budget.total,
@@ -177,7 +172,6 @@ class JobExecutor:
             "running": counts["running"],
             "jobs": counts,
             "plan_cache": dict(default_plan_cache().stats),
-            "fault_stats": fault_stats,
         }
 
     # -- shutdown ------------------------------------------------------

@@ -1,9 +1,12 @@
 """Job records and the thread-safe job store.
 
 A :class:`Job` is one submitted estimation request plus its lifecycle
-state; the :class:`JobStore` keeps every job in memory (behind one lock
-— handler threads and executor threads both touch it) and spools
-settled jobs to disk as JSON, one ``<job_id>.json`` per job.
+state; the :class:`JobStore` keeps jobs in memory (behind one lock —
+handler threads and executor threads both touch it) and spools settled
+jobs to disk as JSON, one ``<job_id>.json`` per job.  Memory holds every
+unsettled job but at most :data:`MAX_SETTLED_JOBS` settled ones: past
+that, the job that settled first is evicted and served from its spool
+file, which holds exactly its final ``to_json()``.
 
 The spool directory is **cwd-independent** by construction: when no
 directory is configured the store creates a private one under the
@@ -16,13 +19,14 @@ startup, not at the first settled job.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
+import re
 import shutil
 import tempfile
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -30,7 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.api import EstimateRequest, EstimateResult
 from repro.errors import ConfigError
 
-__all__ = ["Job", "JobStore", "JOB_STATUSES"]
+__all__ = ["Job", "JobStore", "JOB_STATUSES", "MAX_SETTLED_JOBS"]
 
 #: Lifecycle states a job moves through.  ``queued -> running`` and
 #: then exactly one of ``done`` / ``failed``; ``cancelled`` is reachable
@@ -39,6 +43,10 @@ __all__ = ["Job", "JobStore", "JOB_STATUSES"]
 JOB_STATUSES: Tuple[str, ...] = ("queued", "running", "done", "failed", "cancelled")
 
 _TERMINAL = frozenset({"done", "failed", "cancelled"})
+
+#: Settled jobs kept in memory (each holds its request and result, a
+#: few KB); older ones are answered from their spool files.
+MAX_SETTLED_JOBS = 1024
 
 
 @dataclass
@@ -97,9 +105,12 @@ class JobStore:
 
     def __init__(self, spool_dir: Optional[object] = None):
         self._lock = threading.Lock()
-        self._jobs: "Dict[str, Job]" = {}
-        self._order: List[str] = []
-        self._counter = itertools.count(1)
+        self._jobs: "Dict[str, Job]" = {}  # retained jobs, in submission order
+        self._created = 0
+        # Settled jobs whose spool file is written, in settling order:
+        # the only jobs eviction may drop from memory.
+        self._spooled: "deque[str]" = deque()
+        self._evicted = {status: 0 for status in JOB_STATUSES}
         self._owns_spool = spool_dir is None
         if spool_dir is None:
             self.spool_dir = Path(tempfile.mkdtemp(prefix="repro-service-"))
@@ -121,24 +132,37 @@ class JobStore:
     def create(self, request: EstimateRequest) -> Job:
         """Register a new queued job for ``request``."""
         with self._lock:
-            job = Job(job_id=f"job-{next(self._counter):06d}", request=request)
+            self._created += 1
+            job = Job(job_id=f"job-{self._created:06d}", request=request)
             self._jobs[job.job_id] = job
-            self._order.append(job.job_id)
             return job
 
     def get(self, job_id: str) -> Optional[Job]:
+        """A job still held in memory (``None`` once evicted)."""
         with self._lock:
             return self._jobs.get(job_id)
 
-    def jobs(self) -> List[Job]:
-        """All jobs in submission order (a snapshot)."""
+    def spooled(self, job_id: str) -> Optional[Dict[str, Any]]:
+        """The spooled document of a job this store created and evicted."""
+        match = re.fullmatch(r"job-(\d+)", job_id)
         with self._lock:
-            return [self._jobs[job_id] for job_id in self._order]
+            if match is None or int(match.group(1)) > self._created or job_id in self._jobs:
+                return None
+        try:
+            return json.loads((self.spool_dir / f"{job_id}.json").read_text())
+        except (OSError, ValueError):
+            return None
+
+    def jobs(self) -> List[Job]:
+        """The retained jobs in submission order (a snapshot)."""
+        with self._lock:
+            return list(self._jobs.values())
 
     def counts(self) -> Dict[str, int]:
-        """Job counts by status (every status present, zeros included)."""
-        counts = {status: 0 for status in JOB_STATUSES}
+        """Lifetime job counts by status (every status present, zeros
+        included; evicted jobs still count)."""
         with self._lock:
+            counts = dict(self._evicted)
             for job in self._jobs.values():
                 counts[job.status] += 1
         return counts
@@ -160,14 +184,14 @@ class JobStore:
             job.status = "done"
             job.finished_s = time.time()
             job.result = result
-        self._spool(job)
+        self._settle(job)
 
     def mark_failed(self, job: Job, error: Dict[str, Any]) -> None:
         with self._lock:
             job.status = "failed"
             job.finished_s = time.time()
             job.error = dict(error)
-        self._spool(job)
+        self._settle(job)
 
     def mark_cancelled(self, job: Job, reason: str) -> bool:
         """``queued -> cancelled``; False when already running/settled."""
@@ -177,10 +201,24 @@ class JobStore:
             job.status = "cancelled"
             job.finished_s = time.time()
             job.error = {"code": "A007", "message": reason}
-        self._spool(job)
+        self._settle(job)
         return True
 
     # -- spool ----------------------------------------------------------
+
+    def _settle(self, job: Job) -> None:
+        """Spool a settled job, then evict past :data:`MAX_SETTLED_JOBS`.
+
+        The spool write runs outside the lock; only a job whose file is
+        written joins the eviction queue, so no job is ever missing from
+        both memory and disk.
+        """
+        self._spool(job)
+        with self._lock:
+            self._spooled.append(job.job_id)
+            while len(self._spooled) > MAX_SETTLED_JOBS:
+                evicted = self._jobs.pop(self._spooled.popleft())
+                self._evicted[evicted.status] += 1
 
     def _spool(self, job: Job) -> None:
         path = self.spool_dir / f"{job.job_id}.json"

@@ -207,16 +207,19 @@ DIAGNOSTIC_CODES: Dict[str, Tuple[str, str]] = {
         "derive shard streams with rng.spawn, not fresh seeds",
     ),
     "D005": (
-        "journal plan fingerprint does not match the current shard plan",
-        "resume only with the identical seed, n_shards and budget split",
+        "retired: journal plan fingerprint mismatch (the run journal is "
+        "gone; never emitted)",
+        "kept registered because codes are append-only",
     ),
     "D006": (
-        "journal carries duplicate records for one shard index",
-        "journal each shard at most once; delete the corrupt journal",
+        "retired: duplicate journal record for one shard (the run journal "
+        "is gone; never emitted)",
+        "kept registered because codes are append-only",
     ),
     "D007": (
-        "journal shard index outside the current plan",
-        "the journaled plan had more shards; re-run or fix n_shards",
+        "retired: journal shard index outside the plan (the run journal is "
+        "gone; never emitted)",
+        "kept registered because codes are append-only",
     ),
     "A001": (
         "unknown workload name in an estimation request",

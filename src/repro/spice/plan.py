@@ -20,8 +20,7 @@ module makes that setup a build artifact:
   exactly the proof that the rebuild equals the original.
 * :func:`plan_fingerprint` — a structural content address over
   ``(netlist structure, grid, probes, compile options, plan-format
-  version)``, the compile-side analogue of the run journal's shard-plan
-  fingerprint.  Per-run variation inputs (``delta_vth``/``beta_mult``
+  version)``.  Per-run variation inputs (``delta_vth``/``beta_mult``
   element attributes) are deliberately *excluded*: the compiler ignores
   them, so retargeting a variation sweep never busts the cache.
 * :class:`PlanCache` — two tiers.  An in-process LRU of state templates

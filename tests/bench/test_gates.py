@@ -126,13 +126,10 @@ class TestEdgeStates:
         assert out.failed
         assert "boom" in out.reason
 
-    def test_missing_value_fails_unless_skip_if_missing(self):
-        strict = GateSpec("g1", "ratio_min", section="sec", key="r", threshold=1.0)
-        lenient = GateSpec("g2", "bool_true", section="sec", key="b",
-                           skip_if_missing=True)
-        outs = evaluate_gates([strict, lenient], {"sec": result(values={})})
-        assert outs[0].failed and "not measured" in outs[0].reason
-        assert outs[1].skipped and outs[1].passed
+    def test_missing_value_fails(self):
+        spec = GateSpec("g1", "ratio_min", section="sec", key="r", threshold=1.0)
+        out = one(evaluate_gates([spec], {"sec": result(values={})}))
+        assert out.failed and "not measured" in out.reason
 
 
 class TestFailureMessage:

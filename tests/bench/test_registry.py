@@ -184,9 +184,10 @@ class TestDefaultRegistry:
             "system-read-batched", "column-read-batched",
             "array-read-batched", "plan-cache",
             "kernel-6t", "kernel-latch", "kernel-array",
-            "sharding-determinism", "chaos-recovery",
+            "sharding-determinism",
         ):
             assert expected in names
+        assert "chaos-recovery" not in names  # the recovery layer is gone
         for sec in REGISTRY.select():
             for gate in sec.gates:
                 assert gate.section == sec.name or gate.section == "total"
@@ -218,5 +219,3 @@ class TestDefaultRegistry:
         assert by_id["kernel-latch.fast_vs_reference"].threshold == 1.0
         assert by_id["kernel-array.fast_vs_reference"].threshold == 1.0
         assert by_id["sharding.bit_identical_across_workers"].kind == "bool_true"
-        assert by_id["chaos.faulted_bit_identical"].kind == "bool_true"
-        assert by_id["chaos.resumed_bit_identical"].kind == "bool_true"

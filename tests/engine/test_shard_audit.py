@@ -7,11 +7,13 @@ exact D-code; the plans ``ShardedRunner`` actually builds must audit
 clean.
 """
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro
 from repro.engine import (
     ShardResult,
     assert_shard_plan_clean,
@@ -21,6 +23,7 @@ from repro.engine import (
     split_budget,
 )
 from repro.errors import PlanAuditError
+from repro.spice.diagnostics import DIAGNOSTIC_CODES
 
 
 def _codes(diags):
@@ -136,3 +139,19 @@ class TestEscalation:
             assert_shard_plan_clean([rng, rng], [5, 5], total=10)
         assert exc.value.code == "D001"
         assert any(d.code == "D001" for d in exc.value.diagnostics)
+
+
+class TestRetiredCodes:
+    @pytest.mark.parametrize("code", ["D005", "D006", "D007"])
+    def test_journal_codes_retired_but_registered(self, code):
+        """Codes are append-only: the run journal's admission codes keep
+        their registry entries, marked retired, and no module emits them."""
+        meaning, _ = DIAGNOSTIC_CODES[code]
+        assert meaning.startswith("retired")
+        package = Path(repro.__file__).parent
+        emitters = [
+            path.relative_to(package).as_posix()
+            for path in sorted(package.rglob("*.py"))
+            if code in path.read_text()
+        ]
+        assert emitters == ["spice/diagnostics.py"]

@@ -8,10 +8,14 @@ identical whether the shards run in-process or on a fork pool.
 
 import os
 import pickle
+import time
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.engine import sharding
+from repro.engine.accumulator import StreamingAccumulator
 from repro.engine.sharding import (
     ShardedRunner,
     ShardResult,
@@ -21,7 +25,7 @@ from repro.engine.sharding import (
     spawn_generators,
     split_budget,
 )
-from repro.errors import EstimationError
+from repro.errors import ConvergenceError, EstimationError, ShardExecutionError
 from repro.highsigma.analytic import LinearLimitState
 from repro.highsigma.estimators import MeanShiftISCore
 from repro.highsigma.mc import MonteCarloEstimator
@@ -38,6 +42,68 @@ class _PicklableTask:
         return ShardResult(
             index=i, n_evals=budget, payload=float(rng.standard_normal())
         )
+
+
+class _CountingTask(_PicklableTask):
+    """Counts how often the parent process pickles it."""
+
+    pickles = 0
+
+    def __reduce__(self):
+        _CountingTask.pickles += 1
+        return (_CountingTask, ())
+
+
+def _draw(i, rng, budget):
+    return ShardResult(index=i, n_evals=budget, payload=float(rng.standard_normal()))
+
+
+class _FailOn:
+    """Picklable task that breaks one shard and draws on the others.
+
+    ``how="raise"`` raises ``exc`` wherever the shard runs; ``"exit"``
+    (``os._exit(1)``) and ``"hang"`` (a 120 s sleep, far past any test
+    timeout) act only inside a pool worker, so in-process the same task
+    is an ordinary draw.
+    """
+
+    def __init__(self, shard, how, exc=None):
+        self.shard = shard
+        self.how = how
+        self.exc = ValueError(f"shard {shard} is broken") if exc is None else exc
+
+    def __call__(self, i, rng, budget):
+        if i == self.shard:
+            if self.how == "raise":
+                raise self.exc
+            if self.how == "exit" and sharding._IN_POOL_WORKER:
+                os._exit(1)
+            if self.how == "hang" and sharding._IN_POOL_WORKER:
+                time.sleep(120.0)
+        return _draw(i, rng, budget)
+
+
+def _accumulate_nan_on_shard_2(i, rng, budget):
+    """An importance-sampling shard whose shard 2 meets a NaN log-weight
+    on a failing sample."""
+    log_w = rng.standard_normal(budget)
+    if i == 2:
+        log_w[0] = np.nan
+    acc = StreamingAccumulator()
+    acc.update(log_w, np.ones(budget, dtype=bool))
+    return ShardResult(index=i, n_evals=budget, payload=acc)
+
+
+def _payloads(results):
+    return [r.payload for r in results]
+
+
+def _serial_draws(seed=7, n=4, total=40):
+    return _payloads(
+        ShardedRunner(workers=1).run_shards(
+            _draw, spawn_generators(np.random.default_rng(seed), n), split_budget(total, n)
+        )
+    )
 
 
 class TestSplitBudget:
@@ -304,6 +370,31 @@ class TestSpawnPath:
             assert runner._pool is pool
         assert runner._pool is None
 
+    @needs_spawn
+    def test_spawn_task_pickled_once_per_run(self):
+        """The picklability probe's bytes are the blob every job ships:
+        one serialization per run, however many shards."""
+        before = _CountingTask.pickles
+        runner = ShardedRunner(workers=2, start_method="spawn")
+        out = runner.run_shards(
+            _CountingTask(), spawn_generators(np.random.default_rng(7), 4), split_budget(40, 4)
+        )
+        assert runner.last_mode == "spawn"
+        assert _CountingTask.pickles - before == 1
+        assert _payloads(out) == _serial_draws()
+
+    @needs_fork
+    def test_fork_path_never_pickles_the_task(self):
+        """Fork children inherit the task through the registry; only
+        shard arguments and results cross the pipe."""
+        before = _CountingTask.pickles
+        runner = ShardedRunner(workers=2)
+        runner.run_shards(
+            _CountingTask(), spawn_generators(np.random.default_rng(7), 4), split_budget(40, 4)
+        )
+        assert runner.last_mode == "fork"
+        assert _CountingTask.pickles == before
+
     def test_invalid_start_method_rejected(self):
         with pytest.raises(EstimationError):
             ShardedRunner(start_method="threads")
@@ -471,7 +562,6 @@ class TestZeroBudgetShards:
         out = runner.run_shards(self._pid_task, rngs, budgets)
         parent = os.getpid()
         assert [r.payload[0] == parent for r in out] == [False, True, False, True]
-        assert runner.last_diagnostics["skipped_empty"] == 2
 
     @needs_fork
     def test_bit_identity_with_empty_shards(self):
@@ -493,7 +583,6 @@ class TestZeroBudgetShards:
         out = runner.run_shards(self._pid_task, rngs, [0, 0], skip_empty=False)
         parent = os.getpid()
         assert all(r.payload[0] != parent for r in out)
-        assert runner.last_diagnostics["skipped_empty"] == 0
 
     def test_all_empty_runs_in_process_without_pool(self):
         rngs = spawn_generators(np.random.default_rng(0), 3)
@@ -505,40 +594,214 @@ class TestZeroBudgetShards:
 
 
 class TestPoolFailureLifecycle:
-    """A failed run must never hand its (dead, hung or interrupted) pool
-    to the next call — regression coverage for the close-on-error path."""
+    """Detection, not recovery: the first shard that raises, loses its
+    worker or outlives the timeout ends the run with a typed error, and
+    a failed run never hands its (dead, hung or interrupted) pool to the
+    next call."""
 
     @staticmethod
     def _task(i, rng, budget):
         return ShardResult(index=i, n_evals=budget, payload=float(rng.standard_normal()))
 
+    @staticmethod
+    def _assert_detected(task, timeout, match, start_method=None):
+        """The run fails typed within the deadline plus a few poll ticks,
+        leaves no pool and no registry entry, and the same persistent
+        runner's next run is bit-identical to ``workers=1``."""
+        budgets = split_budget(40, 4)
+        with ShardedRunner(
+            workers=2, persistent=True, timeout=timeout, start_method=start_method
+        ) as runner:
+            start = time.monotonic()
+            with pytest.raises(ShardExecutionError, match=match) as excinfo:
+                runner.run_shards(
+                    task, spawn_generators(np.random.default_rng(7), 4), budgets
+                )
+            assert time.monotonic() - start < timeout + 1.0
+            # Shard 1 never finishes, so it or a lower one is named.
+            assert excinfo.value.shard_index in (0, 1)
+            assert f"shard {excinfo.value.shard_index}" in str(excinfo.value)
+            assert runner._pool is None
+            assert all(t is not task for t in sharding._POOL_TASKS.values())
+            out = runner.run_shards(
+                _draw, spawn_generators(np.random.default_rng(7), 4), budgets
+            )
+            assert _payloads(out) == _serial_draws()
+
     @needs_fork
     def test_persistent_pool_recovers_after_worker_death(self):
-        """Kill a worker with no retry budget: the run fails typed, the
-        broken pool is closed, and the *same* persistent runner's next
-        run respawns transparently and is bit-identical to serial."""
-        from repro.engine.chaos import FaultSpec
-        from repro.errors import ShardExecutionError
+        """A killed worker is caught by the pid watch, long before the
+        deadline."""
+        self._assert_detected(_FailOn(1, "exit"), timeout=10.0, match="died")
 
-        budgets = split_budget(40, 4)
-        baseline = [
-            r.payload
-            for r in ShardedRunner(workers=1).run_shards(
-                self._task, spawn_generators(np.random.default_rng(7), 4), budgets
+    @needs_fork
+    def test_hung_shard_times_out(self):
+        self._assert_detected(_FailOn(1, "hang"), timeout=1.0, match="timed out")
+
+    @needs_spawn
+    def test_spawn_worker_death_detected(self):
+        self._assert_detected(
+            _FailOn(1, "exit"), timeout=10.0, match="died", start_method="spawn"
+        )
+
+    @needs_spawn
+    def test_spawn_hung_shard_times_out(self):
+        # A longer deadline than the fork twin: the deadline counts from
+        # dispatch, and a fresh spawn pool's workers import the library
+        # (~2 s on a loaded 2-vCPU host) before they take a job, so the
+        # rerun on the respawned pool needs the headroom too.
+        self._assert_detected(
+            _FailOn(1, "hang"), timeout=5.0, match="timed out", start_method="spawn"
+        )
+
+    @needs_fork
+    def test_worker_death_detected_without_a_timeout(self):
+        """The pid watch needs no deadline: with ``timeout=None`` a dead
+        worker still ends the run instead of leaving it waiting forever
+        on the job the pool silently lost."""
+        runner = ShardedRunner(workers=2)
+        start = time.monotonic()
+        with pytest.raises(ShardExecutionError, match="died") as excinfo:
+            runner.run_shards(
+                _FailOn(1, "exit"), spawn_generators(np.random.default_rng(7), 4),
+                split_budget(40, 4),
             )
-        ]
+        assert time.monotonic() - start < 10.0
+        assert excinfo.value.shard_index in (0, 1)
+        assert runner._pool is None
+
+    @pytest.mark.parametrize(
+        "method",
+        [pytest.param("fork", marks=needs_fork), pytest.param("spawn", marks=needs_spawn)],
+    )
+    def test_unreached_timeout_changes_nothing(self, method):
+        runner = ShardedRunner(workers=2, start_method=method, timeout=30.0)
+        out = runner.run_shards(
+            _draw, spawn_generators(np.random.default_rng(7), 4), split_budget(40, 4)
+        )
+        assert runner.last_mode == method
+        assert _payloads(out) == _serial_draws()
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+    def test_raising_shard_is_typed(self, workers):
+        runner = ShardedRunner(workers=workers)
+        rngs = spawn_generators(np.random.default_rng(0), 4)
+        with pytest.raises(ShardExecutionError) as excinfo:
+            runner.run_shards(_FailOn(1, "raise"), rngs, split_budget(40, 4))
+        assert excinfo.value.shard_index == 1
+        assert isinstance(excinfo.value.cause, ValueError)
+        assert runner._pool is None
+
+    @pytest.mark.parametrize("shard", [0, 3])
+    @pytest.mark.parametrize(
+        "workers, method",
+        [
+            (1, None),
+            pytest.param(2, "fork", marks=needs_fork),
+            pytest.param(2, "spawn", marks=needs_spawn),
+        ],
+        ids=["in-process", "fork", "spawn"],
+    )
+    def test_failing_shard_is_named(self, workers, method, shard):
+        """Whichever shard raises — the first dispatched or the last —
+        the error names exactly that shard, on every execution path."""
+        runner = ShardedRunner(workers=workers, start_method=method)
+        rngs = spawn_generators(np.random.default_rng(0), 4)
+        with pytest.raises(
+            ShardExecutionError, match=f"shard {shard} failed: ValueError"
+        ) as excinfo:
+            runner.run_shards(_FailOn(shard, "raise"), rngs, split_budget(40, 4))
+        assert excinfo.value.shard_index == shard
+        assert isinstance(excinfo.value.cause, ValueError)
+        assert runner.last_mode == (method or "in-process")
+
+    def test_in_process_run_stops_at_the_failing_shard(self):
+        ran = []
+
+        def task(i, rng, budget):
+            ran.append(i)
+            return _FailOn(1, "raise")(i, rng, budget)
+
+        with pytest.raises(ShardExecutionError):
+            ShardedRunner(workers=1).run_shards(
+                task, spawn_generators(np.random.default_rng(0), 4), split_budget(40, 4)
+            )
+        assert ran == [0, 1]
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+    def test_typed_cause_keeps_its_fields(self, workers):
+        """A library error raised in a worker crosses the result pipe with
+        its fields, so a caller can tell a stalled Newton solve from a
+        bug."""
+        cause = ConvergenceError("newton stalled", iterations=7, residual=0.5)
+        with pytest.raises(
+            ShardExecutionError, match="shard 2 failed: ConvergenceError: newton stalled"
+        ) as excinfo:
+            ShardedRunner(workers=workers).run_shards(
+                _FailOn(2, "raise", cause),
+                spawn_generators(np.random.default_rng(0), 4),
+                split_budget(40, 4),
+            )
+        got = excinfo.value.cause
+        assert type(got) is ConvergenceError
+        assert (got.iterations, got.residual) == (7, 0.5)
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+    def test_non_finite_log_weight_fails_its_shard(self, workers):
+        """The accumulator's NaN refusal is the only NaN guard: inside a
+        shard it ends the run naming that shard, never a poisoned merge."""
+        with pytest.raises(ShardExecutionError, match="non-finite") as excinfo:
+            ShardedRunner(workers=workers).run_shards(
+                _accumulate_nan_on_shard_2,
+                spawn_generators(np.random.default_rng(0), 4),
+                split_budget(40, 4),
+            )
+        assert excinfo.value.shard_index == 2
+        assert type(excinfo.value.cause) is EstimationError
+
+    @needs_fork
+    def test_failed_run_credits_no_pooled_evals(self):
+        """A failed pooled run leaves the parent's eval count untouched,
+        so running the estimate again reconciles to exactly the count of
+        a run that never failed."""
+        ls = LinearLimitState(beta=3.0, dim=4)
+        broken = [True]
+
+        def task(i, rng, budget):
+            before = ls.n_evals
+            ls.fails_batch(rng.standard_normal((budget, 4)))
+            if i == 3 and broken[0]:
+                raise ValueError("shard 3 is broken")
+            return ShardResult(index=i, n_evals=ls.n_evals - before, payload=None)
+
         with ShardedRunner(workers=2, persistent=True) as runner:
-            runner.chaos = (FaultSpec("kill", shard=1),)
             with pytest.raises(ShardExecutionError):
                 runner.run_shards(
-                    self._task, spawn_generators(np.random.default_rng(7), 4), budgets
+                    task, spawn_generators(np.random.default_rng(1), 4), [10] * 4,
+                    limit_state=ls,
                 )
-            assert runner._pool is None  # broken pool not kept around
-            runner.chaos = ()
-            out = runner.run_shards(
-                self._task, spawn_generators(np.random.default_rng(7), 4), budgets
+            assert ls.n_evals == 0
+            broken[0] = False  # the respawned pool forks the fixed task
+            runner.run_shards(
+                task, spawn_generators(np.random.default_rng(1), 4), [10] * 4,
+                limit_state=ls,
             )
-            assert [r.payload for r in out] == baseline
+            assert runner.last_mode == "fork"
+        assert ls.n_evals == 40
+
+    def test_in_process_timeout_warns_once(self):
+        runner = ShardedRunner(workers=1, timeout=5.0)
+        budgets = split_budget(40, 4)
+        with pytest.warns(RuntimeWarning, match="only enforced for pooled"):
+            runner.run_shards(_draw, spawn_generators(np.random.default_rng(0), 4), budgets)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runner.run_shards(_draw, spawn_generators(np.random.default_rng(1), 4), budgets)
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0])
+    def test_non_positive_timeout_rejected(self, timeout):
+        with pytest.raises(EstimationError):
+            ShardedRunner(workers=2, timeout=timeout)
 
     @needs_fork
     def test_keyboard_interrupt_cleans_pool_and_registry(self):
@@ -575,33 +838,7 @@ class TestPoolFailureLifecycle:
         with pytest.raises(ShardExecutionError) as excinfo:
             runner.run_shards(bad_payload_task, rngs, [1, 1])
         assert excinfo.value.shard_index in (0, 1)
-        assert excinfo.value.attempts == 1
         assert runner._pool is None
-
-    @needs_fork
-    def test_eval_reconciliation_across_retried_shards(self):
-        """The retried attempt consumed evals in a worker that died with
-        them; only the successful attempt's count reconciles, so the
-        parent total matches a fault-free run exactly."""
-        from repro.engine.chaos import FaultSpec
-        from repro.engine.sharding import RetryPolicy
-
-        ls = LinearLimitState(beta=3.0, dim=4)
-
-        def task(i, rng, budget):
-            before = ls.n_evals
-            ls.fails_batch(rng.standard_normal((budget, 4)))
-            return ShardResult(index=i, n_evals=ls.n_evals - before, payload=None)
-
-        runner = ShardedRunner(
-            workers=2,
-            retry=RetryPolicy(max_attempts=3),
-            chaos=[FaultSpec("kill", shard=1)],
-        )
-        rngs = spawn_generators(np.random.default_rng(1), 4)
-        runner.run_shards(task, rngs, [10, 10, 10, 10], limit_state=ls)
-        assert runner.last_mode == "fork"
-        assert ls.n_evals == 40
 
 
 class TestShardedMonteCarlo:

@@ -1,5 +1,8 @@
 """Gradient importance sampling tests — the method under reproduction."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,65 @@ class TestMultiStart:
         # Pooled searches reconcile their eval counts into the parent.
         assert res.diagnostics["search_evals"] > 0
         assert ls.n_evals == res.n_evals
+
+
+class TestSearchFailureDetection:
+    """The multi-start search shards over its own transient runner, which
+    inherits the sampling runner's timeout: a search start that hangs or
+    loses its worker ends the search with the typed error a sampling
+    shard gets."""
+
+    @pytest.fixture(autouse=True)
+    def _fork_only(self):
+        from repro.engine.sharding import fork_available
+
+        if not fork_available():
+            pytest.skip("fork start method unavailable")
+
+    @staticmethod
+    def _break_start_1(monkeypatch, how):
+        """Patch the search so start 1 misbehaves inside a pool worker
+        (fork children inherit the patched class)."""
+        from repro.engine import sharding
+
+        real = GradientImportanceSampling._run_one_start
+
+        def run_one_start(self, i, rng):
+            if i == 1 and sharding._IN_POOL_WORKER:
+                if how == "exit":
+                    os._exit(1)
+                time.sleep(120.0)
+            return real(self, i, rng)
+
+        monkeypatch.setattr(GradientImportanceSampling, "_run_one_start", run_one_start)
+
+    @staticmethod
+    def _gis(timeout):
+        from repro.engine.sharding import ShardedRunner
+
+        ls = UnionLimitState([4.0, 4.2], dim=8)
+        runner = ShardedRunner(workers=2, timeout=timeout)
+        return GradientImportanceSampling(
+            ls, n_starts=4, n_max=1024, workers=2, runner=runner
+        )
+
+    def test_hung_start_times_out_on_the_inherited_deadline(self, monkeypatch):
+        from repro.errors import ShardExecutionError
+
+        self._break_start_1(monkeypatch, "hang")
+        gis = self._gis(timeout=1.0)
+        start = time.monotonic()
+        with pytest.raises(ShardExecutionError, match="timed out") as excinfo:
+            gis.search_mpfps(np.random.default_rng(21))
+        assert time.monotonic() - start < 2.0
+        assert excinfo.value.shard_index in (0, 1)
+
+    def test_dead_start_worker_is_detected(self, monkeypatch):
+        from repro.errors import ShardExecutionError
+
+        self._break_start_1(monkeypatch, "exit")
+        with pytest.raises(ShardExecutionError, match="died"):
+            self._gis(timeout=None).search_mpfps(np.random.default_rng(21))
 
 
 class TestDiagnosticsAndAccounting:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -35,10 +36,10 @@ class TestValidation:
             {"seed": -1},
             {"workers": 0},
             {"n_shards": 0},
-            {"retries": -1},
             {"rel_err": -0.1},
             {"rel_err": float("nan")},
             {"shard_timeout": 0.0},
+            {"shard_timeout": -1.0},
             {"spec": float("inf")},
             {"n_starts": 0},
         ],
@@ -168,6 +169,27 @@ class TestRequestEnvelope:
             api.EstimateRequest.from_json(doc)
         assert exc.value.code == "A005"
 
+    def test_retries_field_is_gone_a005(self):
+        doc = linear().to_json()
+        doc["retries"] = 2
+        with pytest.raises(RequestError) as exc:
+            api.EstimateRequest.from_json(doc)
+        assert exc.value.code == "A005"
+        assert "retries" in str(exc.value)
+
+    def test_schema_version_1_is_a005(self):
+        assert api.SCHEMA_VERSION == 2
+        doc = linear().to_json()
+        doc["schema_version"] = 1
+        with pytest.raises(RequestError) as exc:
+            api.EstimateRequest.from_json(doc)
+        assert exc.value.code == "A005"
+        result_doc = api.estimate(linear()).to_json()
+        result_doc["schema_version"] = 1
+        with pytest.raises(RequestError) as exc:
+            api.EstimateResult.from_json(result_doc)
+        assert exc.value.code == "A005"
+
     def test_schema_version_optional_on_input(self):
         doc = linear().to_json()
         del doc["schema_version"]
@@ -188,6 +210,14 @@ class TestResultEnvelope:
         doc = result.to_json()
         assert doc["schema_version"] == api.SCHEMA_VERSION
         del doc["schema_version"]
+        with pytest.raises(RequestError) as exc:
+            api.EstimateResult.from_json(doc)
+        assert exc.value.code == "A005"
+
+    def test_no_fault_stats_field(self):
+        doc = api.estimate(linear()).to_json()
+        assert "fault_stats" not in doc
+        doc["fault_stats"] = {}
         with pytest.raises(RequestError) as exc:
             api.EstimateResult.from_json(doc)
         assert exc.value.code == "A005"
@@ -217,6 +247,32 @@ class TestEstimate:
         wide = api.estimate(linear(workers=2, n_shards=4))
         assert pinned.identical_to(wide)
         assert pinned.n_shards == wide.n_shards == 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shard_timeout_never_changes_the_estimate(self, workers):
+        plain = api.estimate(linear(workers=workers, n_shards=2))
+        with warnings.catch_warnings():
+            # In-process runs warn that the timeout is not enforced.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            timed = api.estimate(linear(workers=workers, n_shards=2, shard_timeout=60.0))
+        assert timed.identical_to(plain)
+        assert timed.request.shard_timeout == 60.0
+
+    def test_timed_run_leaves_no_pool_behind(self):
+        """The persistent runner a ``shard_timeout`` builds is the run's
+        own: closed when the estimate returns, workers and fork-registry
+        entry included."""
+        import multiprocessing
+
+        from repro.engine import sharding
+
+        if not sharding.fork_available():
+            pytest.skip("fork start method unavailable")
+        children = set(multiprocessing.active_children())
+        registry = dict(sharding._POOL_TASKS)
+        api.estimate(linear(workers=2, n_shards=2, shard_timeout=60.0))
+        assert set(multiprocessing.active_children()) <= children
+        assert sharding._POOL_TASKS == registry
 
     def test_mc_method(self):
         result = api.estimate(

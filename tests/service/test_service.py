@@ -81,8 +81,9 @@ class TestWireContract:
         status, payload = client.get("/v1/stats")
         assert status == 200
         for key in ("workers_total", "workers_available", "queue_depth",
-                    "running", "jobs", "plan_cache", "fault_stats", "accepting"):
+                    "running", "jobs", "plan_cache", "accepting"):
             assert key in payload
+        assert "fault_stats" not in payload
 
     def test_workloads_route_backs_the_a001_hint(self, client):
         status, payload = client.get("/v1/workloads")
@@ -101,6 +102,11 @@ class TestWireContract:
               "method": "magic"}, "A004"),
             ({"workload": "analytic-linear", "spec": 4.0, "nope": 1}, "A005"),
             ([1, 2, 3], "A005"),
+            ({"workload": "analytic-linear", "spec": 4.0, "retries": 1}, "A005"),
+            ({"workload": "analytic-linear", "spec": 4.0,
+              "schema_version": 1}, "A005"),
+            ({"workload": "analytic-linear", "spec": 4.0,
+              "shard_timeout": 0}, "A003"),
         ],
     )
     def test_validation_is_400_with_code(self, client, body, code):
@@ -139,6 +145,57 @@ class TestLifecycle:
         client.wait(client.submit(linear())["job_id"])
         status, payload = client.get("/v1/jobs")
         assert status == 200 and len(payload["jobs"]) == 1
+
+    def test_evicted_job_is_served_from_its_spool_file(self, client, monkeypatch):
+        from repro.service import jobs
+
+        monkeypatch.setattr(jobs, "MAX_SETTLED_JOBS", 1)
+        first = client.wait(client.submit(linear(seed=1))["job_id"])
+        second = client.wait(client.submit(linear(seed=2))["job_id"])
+        status, listing = client.get("/v1/jobs")
+        assert status == 200
+        assert [j["job_id"] for j in listing["jobs"]] == [second["job_id"]]
+        for verb in (client.get, client.delete):
+            status, payload = verb(f"/v1/jobs/{first['job_id']}")
+            assert status == 200 and payload == first
+        assert client.get("/v1/stats")[1]["jobs"]["done"] == 2
+
+    def test_evicted_job_refuses_other_methods(self, client, monkeypatch):
+        from repro.service import jobs
+
+        monkeypatch.setattr(jobs, "MAX_SETTLED_JOBS", 1)
+        first = client.wait(client.submit(linear(seed=1))["job_id"])
+        client.wait(client.submit(linear(seed=2))["job_id"])
+        status, payload = client.post(f"/v1/jobs/{first['job_id']}", {})
+        assert status == 405 and payload["error"]["code"] == "A006"
+        assert client.get(f"/v1/jobs/{first['job_id']}") == (200, first)
+
+    def test_timed_job_matches_untimed(self, client):
+        plain = client.wait(client.submit(linear(workers=2, n_shards=2))["job_id"])
+        timed = client.wait(
+            client.submit(linear(workers=2, n_shards=2, shard_timeout=60.0))["job_id"]
+        )
+        assert plain["status"] == timed["status"] == "done"
+        assert api.EstimateResult.from_json(timed["result"]).identical_to(
+            api.EstimateResult.from_json(plain["result"])
+        )
+
+    def test_failing_shard_fails_the_job_typed(self, client, monkeypatch):
+        """A shard that raises ends the run: the job settles failed with
+        the typed shard error naming the shard, and the next job runs."""
+        from repro.highsigma.analytic import LinearLimitState
+
+        def overflowing(self, u_batch):
+            raise FloatingPointError("metric overflow")
+
+        monkeypatch.setattr(LinearLimitState, "fails_batch", overflowing)
+        request = linear(method="mc", rel_err=None, n_shards=2)
+        final = client.wait(client.submit(request)["job_id"])
+        assert final["status"] == "failed"
+        assert final["error"]["type"] == "ShardExecutionError"
+        assert "shard 0 failed: FloatingPointError" in final["error"]["message"]
+        monkeypatch.undo()
+        assert client.wait(client.submit(linear(seed=1))["job_id"])["status"] == "done"
 
     def test_failed_job_is_an_envelope_not_a_500(self, client):
         # Eager validation passes (spec is a finite number, knobs

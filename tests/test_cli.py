@@ -126,78 +126,45 @@ class TestArgumentValidation:
 
 
 class TestFaultToleranceFlags:
-    def test_flags_parse_with_defaults(self):
+    def test_shard_timeout_parses(self):
         args = build_parser().parse_args(["read-sigma", "--spec-ps", "55"])
-        assert args.retries == 0
         assert args.shard_timeout is None
-        assert args.journal is None
-        assert args.resume is False
-
-    def test_flags_parse_when_set(self):
         args = build_parser().parse_args([
-            "read-sigma", "--spec-ps", "55", "--retries", "2",
-            "--shard-timeout", "300", "--journal", "run.journal", "--resume",
+            "read-sigma", "--spec-ps", "55", "--shard-timeout", "300",
         ])
-        assert args.retries == 2
         assert args.shard_timeout == 300.0
-        assert args.journal == "run.journal"
-        assert args.resume is True
 
-    def test_resume_without_journal_rejected(self, capsys):
+    @pytest.mark.parametrize(
+        "flags", [["--retries", "2"], ["--journal", "run.journal"], ["--resume"]]
+    )
+    def test_recovery_flags_are_unknown(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["read-sigma", "--spec-ps", "55", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seconds", ["0", "-5"])
+    def test_non_positive_shard_timeout_rejected(self, seconds, capsys):
+        # Refused by request validation (A003) before anything compiles.
         code = main([
-            "read-sigma", "--spec-ps", "55", "--budget", "100", "--resume",
+            "read-sigma", "--spec-ps", "55", "--shard-timeout", seconds,
         ])
-        assert code == 2
-        assert "--resume requires --journal" in capsys.readouterr().out
-
-    def test_negative_retries_rejected(self, capsys):
-        code = main([
-            "read-sigma", "--spec-ps", "55", "--budget", "100",
-            "--retries", "-1",
-        ])
-        assert code == 2
-        assert "--retries" in capsys.readouterr().out
-
-    def test_journal_needs_shard_plan(self, capsys):
-        code = main([
-            "read-sigma", "--spec-ps", "55", "--budget", "100",
-            "--journal", "run.journal",
-        ])
-        assert code == 2
-        assert "--shards" in capsys.readouterr().out
-
-    def test_journaled_run_resumes(self, tmp_path, capsys):
-        journal = str(tmp_path / "run.journal")
-        argv = [
-            "read-sigma", "--spec-ps", "55", "--budget", "1200",
-            "--n-steps", "250", "--rel-err", "0.2", "--shards", "2",
-            "--journal", journal,
-        ]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv + ["--resume"]) == 0
-        second = capsys.readouterr().out
-        assert "journal replays" in second
-        # The resumed run reproduces the original estimate verbatim.
-        line = next(l for l in first.splitlines() if "p_fail" in l)
-        assert line in second
-
-    def test_mismatched_journal_refused_with_code(self, tmp_path, capsys):
-        """Resuming under a different seed is refused with the D005
-        diagnostic as one readable error line, not a traceback."""
-        journal = str(tmp_path / "run.journal")
-        argv = [
-            "read-sigma", "--spec-ps", "55", "--budget", "1200",
-            "--n-steps", "250", "--rel-err", "0.2", "--shards", "2",
-            "--journal", journal,
-        ]
-        assert main(argv) == 0
-        capsys.readouterr()
-        code = main(argv + ["--resume", "--seed", "99"])
         assert code == 2
         out = capsys.readouterr().out
-        assert "error:" in out
-        assert "D005" in out
+        assert "shard_timeout" in out and "A003" in out
+
+    def test_timed_run_prints_the_untimed_estimate(self, capsys):
+        argv = [
+            "read-sigma", "--spec-ps", "55", "--budget", "1200",
+            "--n-steps", "250", "--rel-err", "0.2",
+            "--workers", "2", "--shards", "2",
+        ]
+        assert main(argv) == 0
+        untimed = capsys.readouterr().out
+        assert main(argv + ["--shard-timeout", "300"]) == 0
+        timed = capsys.readouterr().out
+        line = next(l for l in untimed.splitlines() if "p_fail" in l)
+        assert line in timed
 
 
 class TestExecution:

@@ -9,7 +9,6 @@ from repro.errors import (
     ConvergenceError,
     DiagnosticError,
     EstimationError,
-    JournalError,
     LintError,
     MeasurementError,
     NetlistError,
@@ -25,7 +24,7 @@ class TestHierarchy:
     @pytest.mark.parametrize(
         "exc",
         [NetlistError, ConvergenceError, SimulationError, MeasurementError,
-         EstimationError, SearchError, ShardExecutionError, JournalError],
+         EstimationError, SearchError, ShardExecutionError],
     )
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, ReproError)
@@ -67,7 +66,6 @@ class TestDiagnosticHierarchy:
             (CompileError, SimulationError),
             (PlanAuditError, SimulationError),
             (LintError, NetlistError),
-            (JournalError, EstimationError),
         ],
     )
     def test_diagnostic_errors_keep_their_family(self, exc, family):
@@ -88,13 +86,12 @@ class TestDiagnosticHierarchy:
 
 
 class TestFaultToleranceErrors:
-    """The fault-tolerance layer's typed exceptions and their fields."""
+    """The sharded engine's typed exception and its fields."""
 
     def test_shard_execution_error_carries_context(self):
         cause = ValueError("worker blew up")
-        err = ShardExecutionError("shard 3 died", shard_index=3, attempts=2, cause=cause)
+        err = ShardExecutionError("shard 3 died", shard_index=3, cause=cause)
         assert err.shard_index == 3
-        assert err.attempts == 2
         assert err.cause is cause
         # Estimation-family: one except EstimationError catches it.
         with pytest.raises(EstimationError):
@@ -103,15 +100,7 @@ class TestFaultToleranceErrors:
     def test_shard_execution_error_defaults(self):
         err = ShardExecutionError("x")
         assert err.shard_index == -1
-        assert err.attempts == 0
         assert err.cause is None
-
-    def test_journal_error_is_diagnostic_and_estimation(self):
-        err = JournalError("bad journal", code="D005", diagnostics=("d",))
-        assert err.code == "D005"
-        assert err.diagnostics == ("d",)
-        assert isinstance(err, DiagnosticError)
-        assert isinstance(err, EstimationError)
 
 
 class TestNoBareBuiltins:
